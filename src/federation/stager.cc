@@ -1,7 +1,6 @@
 #include "federation/stager.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 namespace hl {
@@ -35,24 +34,7 @@ int StagerScheduler::AddShard(FetchBackend* backend) {
   quarantined_.push_back(false);
   site_of_.push_back(-1);
   failover_peer_.push_back(-1);
-  shard_clocks_.push_back(nullptr);
   return static_cast<int>(shards_.size()) - 1;
-}
-
-void StagerScheduler::SetShardClock(int shard, SimClock* clock) {
-  shard_clocks_.at(shard) = clock;
-}
-
-bool StagerScheduler::ParallelDispatch() const {
-  if (shards_.empty()) {
-    return false;
-  }
-  for (SimClock* c : shard_clocks_) {
-    if (c == nullptr) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void StagerScheduler::SetShardSite(int shard, int site) {
@@ -272,198 +254,75 @@ Status StagerScheduler::Pump() {
         quantum--;
       }
     }
-    if (!ParallelDispatch()) {
-      // Dispatch each shard's batch through its elevator pipeline.
-      for (size_t s = 0; s < nshards; ++s) {
-        if (batches[s].empty()) {
-          continue;
-        }
-        // Coalesce duplicate tsegs within the batch: the backend sees each
-        // segment once; every request still gets an outcome.
-        std::vector<uint32_t> unique;
-        std::vector<size_t> slot_of(batches[s].size());
-        for (size_t i = 0; i < batches[s].size(); ++i) {
-          uint32_t tseg = batches[s][i].req.tseg;
-          size_t slot = unique.size();
-          for (size_t u = 0; u < unique.size(); ++u) {
-            if (unique[u] == tseg) {
-              slot = u;
-              break;
-            }
-          }
-          if (slot == unique.size()) {
-            unique.push_back(tseg);
-          } else {
-            stats_.coalesced++;
-          }
-          slot_of[i] = slot;
-        }
-        for (uint32_t tseg : unique) {
-          if (shards_[s]->SegmentCached(tseg)) {
-            stats_.cache_hits++;
+    // Dispatch each shard's batch through its elevator pipeline.
+    for (size_t s = 0; s < nshards; ++s) {
+      if (batches[s].empty()) {
+        continue;
+      }
+      // Coalesce duplicate tsegs within the batch: the backend sees each
+      // segment once; every request still gets an outcome.
+      std::vector<uint32_t> unique;
+      std::vector<size_t> slot_of(batches[s].size());
+      for (size_t i = 0; i < batches[s].size(); ++i) {
+        uint32_t tseg = batches[s][i].req.tseg;
+        size_t slot = unique.size();
+        for (size_t u = 0; u < unique.size(); ++u) {
+          if (unique[u] == tseg) {
+            slot = u;
+            break;
           }
         }
-        // The dispatch span parents the whole batch: it is a child of the
-        // first request's admit root, the shard's fetch spans nest under it
-        // via the shared implicit-context stack (FetchBatch is synchronous),
-        // and every request's fanout leaf below references it — so a
-        // coalesced recall's requests all share this one parent.
-        SpanScope dispatch(spans_, batches[s][0].req.admit_span,
-                           "stager_dispatch", "stager");
-        dispatch.Annotate("shard", std::to_string(s));
-        dispatch.Annotate("requests", std::to_string(batches[s].size()));
-        dispatch.Annotate("segments", std::to_string(unique.size()));
-        SimTime dispatched_at = clock_->Now();
-        ASSIGN_OR_RETURN(std::vector<FetchOutcome> outcomes,
-                         shards_[s]->FetchBatch(unique));
-        stats_.batches_dispatched++;
-        for (size_t i = 0; i < batches[s].size(); ++i) {
-          const Picked& picked = batches[s][i];
-          const FetchOutcome& out = outcomes[slot_of[i]];
-          if (spans_ != nullptr) {
-            SpanId fan = spans_->AddComplete("stager_fanout", "stager",
-                                             dispatch.id(), dispatched_at,
-                                             clock_->Now());
-            spans_->Annotate(fan, "tenant", tenants_[picked.tenant].name);
-            spans_->Annotate(fan, "tseg", std::to_string(picked.req.tseg));
-            if (picked.failover) {
-              spans_->Annotate(fan, "failover", "1");
-            }
-            if (!out.status.ok()) {
-              spans_->Annotate(fan, "error", out.status.ToString());
-            }
-          }
-          if (!out.status.ok()) {
-            stats_.fetch_errors++;
-            continue;
-          }
-          SimTime wait = dispatched_at - picked.req.submitted_at;
-          queue_wait_us_.Observe(wait);
-          fetch_delay_us_.Observe(wait + out.delay_us);
-          stats_.demand_served++;
-          served_[tenants_[picked.tenant].name]++;
+        if (slot == unique.size()) {
+          unique.push_back(tseg);
+        } else {
+          stats_.coalesced++;
+        }
+        slot_of[i] = slot;
+      }
+      for (uint32_t tseg : unique) {
+        if (shards_[s]->SegmentCached(tseg)) {
+          stats_.cache_hits++;
         }
       }
-    } else {
-      // Parallel dispatch (see the header's "Parallel shard timelines").
-      // Plan: coalesce and probe caches for every shard up front, in shard
-      // order — pure state, same counter totals as the serial loop.
-      const SimTime round_start = clock_->Now();
-      std::vector<std::vector<uint32_t>> unique(nshards);
-      std::vector<std::vector<size_t>> slot_of(nshards);
-      for (size_t s = 0; s < nshards; ++s) {
-        if (batches[s].empty()) {
-          continue;
-        }
-        slot_of[s].resize(batches[s].size());
-        for (size_t i = 0; i < batches[s].size(); ++i) {
-          uint32_t tseg = batches[s][i].req.tseg;
-          size_t slot = unique[s].size();
-          for (size_t u = 0; u < unique[s].size(); ++u) {
-            if (unique[s][u] == tseg) {
-              slot = u;
-              break;
-            }
-          }
-          if (slot == unique[s].size()) {
-            unique[s].push_back(tseg);
-          } else {
-            stats_.coalesced++;
-          }
-          slot_of[s][i] = slot;
-        }
-        for (uint32_t tseg : unique[s]) {
-          if (shards_[s]->SegmentCached(tseg)) {
-            stats_.cache_hits++;
-          }
-        }
-      }
-      // Execute: every dispatched shard's batch runs concurrently on its
-      // own clock, synced to the round start first. Only the shard's own
-      // state (and its clock) is touched from the worker thread.
-      struct ShardRun {
-        std::vector<FetchOutcome> outcomes;
-        Status status;
-        SimTime duration = 0;
-      };
-      std::vector<ShardRun> runs(nshards);
-      {
-        std::vector<std::thread> workers;
-        for (size_t s = 0; s < nshards; ++s) {
-          if (batches[s].empty()) {
-            continue;
-          }
-          workers.emplace_back([this, s, round_start, &unique, &runs] {
-            SimClock* sc = shard_clocks_[s];
-            if (sc->Now() < round_start) {
-              sc->AdvanceTo(round_start);
-            }
-            const SimTime t0 = sc->Now();
-            Result<std::vector<FetchOutcome>> r =
-                shards_[s]->FetchBatch(unique[s]);
-            runs[s].status = r.status();
-            if (r.ok()) {
-              runs[s].outcomes = std::move(*r);
-            }
-            runs[s].duration = sc->Now() - t0;
-          });
-        }
-        for (std::thread& w : workers) {
-          w.join();
-        }
-      }
-      // Merge: replay the serial accounting order. Shard s's batch counts
-      // as dispatched at round_start + the durations of the shards before
-      // it, exactly where the serial loop would have placed it.
-      for (size_t s = 0; s < nshards; ++s) {
-        if (batches[s].empty()) {
-          continue;
-        }
-        RETURN_IF_ERROR(runs[s].status);
-        const SimTime dispatched_at = clock_->Now();
-        const SimTime batch_end = dispatched_at + runs[s].duration;
-        // Advance before accounting: in the serial loop the clock reaches
-        // batch_end inside FetchBatch, before any Observe() — tick hooks
-        // crossing boundaries in this window must see pre-batch state.
-        clock_->AdvanceTo(batch_end);
-        SpanId dispatch = kNoSpan;
+      // The dispatch span parents the whole batch: it is a child of the
+      // first request's admit root, the shard's fetch spans nest under it
+      // via the shared implicit-context stack (FetchBatch is synchronous),
+      // and every request's fanout leaf below references it — so a
+      // coalesced recall's requests all share this one parent.
+      SpanScope dispatch(spans_, batches[s][0].req.admit_span,
+                         "stager_dispatch", "stager");
+      dispatch.Annotate("shard", std::to_string(s));
+      dispatch.Annotate("requests", std::to_string(batches[s].size()));
+      dispatch.Annotate("segments", std::to_string(unique.size()));
+      SimTime dispatched_at = clock_->Now();
+      ASSIGN_OR_RETURN(std::vector<FetchOutcome> outcomes,
+                       shards_[s]->FetchBatch(unique));
+      stats_.batches_dispatched++;
+      for (size_t i = 0; i < batches[s].size(); ++i) {
+        const Picked& picked = batches[s][i];
+        const FetchOutcome& out = outcomes[slot_of[i]];
         if (spans_ != nullptr) {
-          dispatch = spans_->AddComplete("stager_dispatch", "stager",
-                                         batches[s][0].req.admit_span,
-                                         dispatched_at, batch_end);
-          spans_->Annotate(dispatch, "shard", std::to_string(s));
-          spans_->Annotate(dispatch, "requests",
-                           std::to_string(batches[s].size()));
-          spans_->Annotate(dispatch, "segments",
-                           std::to_string(unique[s].size()));
-        }
-        stats_.batches_dispatched++;
-        for (size_t i = 0; i < batches[s].size(); ++i) {
-          const Picked& picked = batches[s][i];
-          const FetchOutcome& out = runs[s].outcomes[slot_of[s][i]];
-          if (spans_ != nullptr) {
-            SpanId fan = spans_->AddComplete("stager_fanout", "stager",
-                                             dispatch, dispatched_at,
-                                             batch_end);
-            spans_->Annotate(fan, "tenant", tenants_[picked.tenant].name);
-            spans_->Annotate(fan, "tseg", std::to_string(picked.req.tseg));
-            if (picked.failover) {
-              spans_->Annotate(fan, "failover", "1");
-            }
-            if (!out.status.ok()) {
-              spans_->Annotate(fan, "error", out.status.ToString());
-            }
+          SpanId fan = spans_->AddComplete("stager_fanout", "stager",
+                                           dispatch.id(), dispatched_at,
+                                           clock_->Now());
+          spans_->Annotate(fan, "tenant", tenants_[picked.tenant].name);
+          spans_->Annotate(fan, "tseg", std::to_string(picked.req.tseg));
+          if (picked.failover) {
+            spans_->Annotate(fan, "failover", "1");
           }
           if (!out.status.ok()) {
-            stats_.fetch_errors++;
-            continue;
+            spans_->Annotate(fan, "error", out.status.ToString());
           }
-          SimTime wait = dispatched_at - picked.req.submitted_at;
-          queue_wait_us_.Observe(wait);
-          fetch_delay_us_.Observe(wait + out.delay_us);
-          stats_.demand_served++;
-          served_[tenants_[picked.tenant].name]++;
         }
+        if (!out.status.ok()) {
+          stats_.fetch_errors++;
+          continue;
+        }
+        SimTime wait = dispatched_at - picked.req.submitted_at;
+        queue_wait_us_.Observe(wait);
+        fetch_delay_us_.Observe(wait + out.delay_us);
+        stats_.demand_served++;
+        served_[tenants_[picked.tenant].name]++;
       }
     }
     if (ntenants > 0) {
@@ -482,14 +341,13 @@ Status StagerScheduler::Pump() {
         if (!migrations_.empty()) {
           MigrationItem item = std::move(migrations_.front());
           migrations_.pop_front();
-          ASSIGN_OR_RETURN(MigrationReport report, RunMigration(item));
-          (void)report;
+          RETURN_IF_ERROR(shards_[item.shard]->Migrate(item.request).status());
           stats_.migration_runs++;
         } else {
           ScrubItem item = scrubs_.front();
           scrubs_.pop_front();
-          ASSIGN_OR_RETURN(uint32_t scanned, RunScrub(item));
-          (void)scanned;
+          RETURN_IF_ERROR(
+              shards_[item.shard]->ScrubStep(item.max_segments).status());
           stats_.scrub_steps++;
         }
       }
@@ -501,8 +359,7 @@ Status StagerScheduler::Pump() {
   if (!migrations_.empty()) {
     MigrationItem item = std::move(migrations_.front());
     migrations_.pop_front();
-    ASSIGN_OR_RETURN(MigrationReport report, RunMigration(item));
-    (void)report;
+    RETURN_IF_ERROR(shards_[item.shard]->Migrate(item.request).status());
     stats_.migration_runs++;
     UpdateQueueGauge();
     return OkStatus();
@@ -510,46 +367,12 @@ Status StagerScheduler::Pump() {
   if (!scrubs_.empty()) {
     ScrubItem item = scrubs_.front();
     scrubs_.pop_front();
-    ASSIGN_OR_RETURN(uint32_t scanned, RunScrub(item));
-    (void)scanned;
+    RETURN_IF_ERROR(shards_[item.shard]->ScrubStep(item.max_segments).status());
     stats_.scrub_steps++;
     UpdateQueueGauge();
     return OkStatus();
   }
   return OkStatus();
-}
-
-Result<MigrationReport> StagerScheduler::RunMigration(
-    const MigrationItem& item) {
-  if (!ParallelDispatch()) {
-    return shards_[item.shard]->Migrate(item.request);
-  }
-  // Run on the shard's own timeline, then charge the coordination clock
-  // with the measured duration — the same amount a serial run would have
-  // advanced it. Shard clocks never run ahead of the coordination clock,
-  // so the sync below only moves forward.
-  SimClock* sc = shard_clocks_[item.shard];
-  if (sc->Now() < clock_->Now()) {
-    sc->AdvanceTo(clock_->Now());
-  }
-  const SimTime t0 = sc->Now();
-  Result<MigrationReport> report = shards_[item.shard]->Migrate(item.request);
-  clock_->AdvanceTo(clock_->Now() + (sc->Now() - t0));
-  return report;
-}
-
-Result<uint32_t> StagerScheduler::RunScrub(const ScrubItem& item) {
-  if (!ParallelDispatch()) {
-    return shards_[item.shard]->ScrubStep(item.max_segments);
-  }
-  SimClock* sc = shard_clocks_[item.shard];
-  if (sc->Now() < clock_->Now()) {
-    sc->AdvanceTo(clock_->Now());
-  }
-  const SimTime t0 = sc->Now();
-  Result<uint32_t> scanned = shards_[item.shard]->ScrubStep(item.max_segments);
-  clock_->AdvanceTo(clock_->Now() + (sc->Now() - t0));
-  return scanned;
 }
 
 Status StagerScheduler::RunUntilIdle() {

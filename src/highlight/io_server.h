@@ -274,11 +274,11 @@ class IoServer {
     Completion done;
     // Read ops: transfer buffer (owned, or a read-ahead's shared image) and
     // the waiters a coalesced transfer fans out to.
-    std::shared_ptr<std::vector<uint8_t>> image;
-    std::vector<ReadDone> readers;
+    std::shared_ptr<std::vector<uint8_t>> image{};
+    std::vector<ReadDone> readers{};
     // Enqueue-time span context; the issue-time span is begun under it so
     // write-behind work stays causally attached to whoever queued it.
-    TraceContext ctx;
+    TraceContext ctx{};
     uint64_t seq = 0;          // FIFO tiebreaker for the async issue policy.
     SimTime enqueued_at = 0;
   };

@@ -1,8 +1,9 @@
 // Federation stager tests: class priority (demand > migration > scrub),
 // per-tenant fair share under a hot tenant, drive-token contention across
 // the shared farm, duplicate-recall coalescing, admission-bound rejection,
-// quarantine steering onto a replica shard (against real HighLight shards),
-// and population-generator determinism.
+// queue-wait and fetch-delay histogram values, quarantine steering onto a
+// replica shard (against real HighLight shards), and population-generator
+// determinism.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,8 @@ namespace hl {
 namespace {
 
 // A deterministic scripted shard: every fetch costs a fixed slice of sim
-// time; batches, migrations, and scrub steps are recorded for inspection.
+// time (as do migration passes and scrub steps, when their costs are set);
+// batches, migrations, and scrub steps are recorded for inspection.
 class FakeShard : public FetchBackend {
  public:
   FakeShard(SimClock* clock, uint32_t nsegs, SimTime fetch_cost_us)
@@ -53,10 +55,12 @@ class FakeShard : public FetchBackend {
     return outcomes;
   }
   Result<MigrationReport> Migrate(const MigrationRequest&) override {
+    clock_->Advance(migrate_cost_us);
     migrations++;
     return MigrationReport{};
   }
   Result<uint32_t> ScrubStep(uint32_t max_segments) override {
+    clock_->Advance(scrub_cost_us);
     scrubs++;
     return max_segments;
   }
@@ -68,6 +72,8 @@ class FakeShard : public FetchBackend {
   std::vector<uint32_t> fetched;
   int migrations = 0;
   int scrubs = 0;
+  SimTime migrate_cost_us = 0;
+  SimTime scrub_cost_us = 0;
 
  private:
   SimClock* clock_;
@@ -272,6 +278,47 @@ TEST(StagerSchedulerTest, CacheHitsCountedFromShardCacheState) {
   ASSERT_TRUE(stager.SubmitFetch("alice", 0, 3).ok());
   ASSERT_TRUE(stager.Pump().ok());
   EXPECT_EQ(stager.Metrics().Value("stager.cache_hits"), 1u);
+}
+
+TEST(StagerSchedulerTest, QueueWaitAndFetchDelayHistogramValues) {
+  constexpr SimTime kFetchCost = 1000;
+  constexpr SimTime kWait = 7000;
+  SimClock clock;
+  clock.AdvanceTo(10'000);
+  FakeShard shard(&clock, 8, kFetchCost);
+  shard.migrate_cost_us = 400;
+  shard.scrub_cost_us = 150;
+  StagerScheduler stager(&clock);
+  stager.AddShard(&shard);
+
+  const SimTime t0 = clock.Now();
+  ASSERT_TRUE(stager.SubmitFetch("alice", 0, 3).ok());
+  ASSERT_TRUE(stager.SubmitFetch("alice", 0, 5).ok());
+  clock.AdvanceTo(t0 + kWait);
+  ASSERT_TRUE(stager.Pump().ok());
+
+  // Both recalls share one batch, so both waited from submit to its
+  // dispatch; each fetch delay adds that recall's own reported service
+  // time (FetchOutcome::delay_us), not the whole batch's clock advance.
+  const Histogram::Data* wait =
+      stager.metrics().HistogramSlot("stager.queue_wait_us");
+  const Histogram::Data* delay =
+      stager.metrics().HistogramSlot("stager.fetch_delay_us");
+  ASSERT_EQ(wait->count, 2u);
+  EXPECT_EQ(wait->min, kWait);
+  EXPECT_EQ(wait->max, kWait);
+  ASSERT_EQ(delay->count, 2u);
+  EXPECT_EQ(delay->min, kWait + kFetchCost);
+  EXPECT_EQ(delay->max, kWait + kFetchCost);
+  EXPECT_EQ(clock.Now(), t0 + kWait + 2 * kFetchCost);
+
+  // Maintenance charges its device time to the same clock.
+  ASSERT_TRUE(stager.SubmitMigration("ops", 0, MigrationRequest{}).ok());
+  ASSERT_TRUE(stager.SubmitScrub(0, 4).ok());
+  ASSERT_TRUE(stager.RunUntilIdle().ok());
+  EXPECT_EQ(shard.migrations, 1);
+  EXPECT_EQ(shard.scrubs, 1);
+  EXPECT_EQ(clock.Now(), t0 + kWait + 2 * kFetchCost + 400 + 150);
 }
 
 // --- Quarantine steering against real HighLight shards --------------------
