@@ -26,6 +26,7 @@
 //   site_disaster --smoke    small population for CI
 //                            (bench/baselines/site_disaster_smoke.json)
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -315,6 +316,7 @@ int main(int argc, char** argv) {
   uint64_t demand_served_at_recovery = 0;
   Histogram::Data delay_at_kill{};
   Histogram::Data delay_at_recovery{};
+  const auto wall_start = std::chrono::steady_clock::now();
 
   auto pump_round = [&] {
     if (stager.PendingRequests() > 0) {
@@ -383,6 +385,10 @@ int main(int argc, char** argv) {
     pump_round();
   }
   Die(stager.RunUntilIdle(), "drain");
+  const double wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
 
   // --- Zero-data-loss gates ----------------------------------------------
   // A post-rebuild anti-entropy round must find nothing left to ship...
@@ -447,6 +453,13 @@ int main(int argc, char** argv) {
   report.Value("post_rebuild_unrecoverable",
                static_cast<uint64_t>(scrub.unrecoverable));
   report.Value("ledger_persists", repl_snap.Value("site.ledger_persists"));
+  // Wall-clock facts go in the non-compared "info" section: host speed is
+  // nondeterministic, and these must never perturb the bit-identity gate.
+  report.Info("wall_seconds", wall_seconds);
+  report.Info("sim_ops_per_sec",
+              wall_seconds > 0.0
+                  ? static_cast<double>(gen.requests_emitted()) / wall_seconds
+                  : 0.0);
   report.Snapshot("replicator", repl_snap);
   report.Snapshot("stager", stager_snap);
   report.Snapshot("hub", hub.MergedSnapshot());

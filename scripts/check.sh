@@ -75,25 +75,19 @@ cmake --build --preset default --target federation_scale -j "$jobs" >/dev/null
 (cd "$smoke_dir" && "$OLDPWD"/build/bench/federation_scale --smoke >/dev/null)
 python3 scripts/bench_diff.py "$smoke_dir"/BENCH_federation_scale_smoke.json \
   bench/baselines/federation_scale_smoke.json
-python3 - "$smoke_dir"/BENCH_federation_scale_smoke.json \
-  bench/baselines/federation_scale_opsfloor.txt <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-rate = float(doc["info"]["sim_ops_per_sec"])
-floor = float(open(sys.argv[2]).read().split()[0])
-print(f"  federation_scale --smoke: {rate:.0f} sim-ops/s "
-      f"(committed floor: {floor:.0f})")
-sys.exit(0 if rate >= floor else 1)
-EOF
+python3 scripts/check_floor.py "$smoke_dir"/BENCH_federation_scale_smoke.json \
+  bench/baselines/federation_scale_opsfloor.txt
 
 # Site-disaster gate: kill one of two replicated sites mid-workload, fail
 # demand over to the survivor, rebuild the dead site from its peer via
 # anti-entropy. The smoke drill's recovery time, re-shipped byte count and
 # zero-data-loss gates are fully deterministic and must match the baseline
-# bit-for-bit.
-echo "==> site disaster gate (drill smoke vs baseline)"
+# bit-for-bit. The drill must also hold its committed sim-ops/sec floor.
+echo "==> site disaster gate (drill smoke vs baseline + ops floor)"
 cmake --build --preset default --target site_disaster -j "$jobs" >/dev/null
 (cd "$smoke_dir" && "$OLDPWD"/build/bench/site_disaster --smoke >/dev/null)
 python3 scripts/bench_diff.py "$smoke_dir"/BENCH_site_disaster_smoke.json \
   bench/baselines/site_disaster_smoke.json
+python3 scripts/check_floor.py "$smoke_dir"/BENCH_site_disaster_smoke.json \
+  bench/baselines/site_disaster_opsfloor.txt
 echo "All checks passed."

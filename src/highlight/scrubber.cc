@@ -38,11 +38,14 @@ Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf) {
   return s;
 }
 
-bool Scrubber::VerifyImage(uint32_t tseg,
-                           std::span<const uint8_t> image) const {
+std::optional<uint32_t> Scrubber::VerifyImage(
+    uint32_t tseg, std::span<const uint8_t> image) const {
   uint32_t expect = 0;
   if (tsegs_->CrcOf(tseg, &expect)) {
-    return Crc32(image) == expect;
+    if (Crc32(image) != expect) {
+      return std::nullopt;
+    }
+    return expect;
   }
   // No recorded CRC (catalog is empty right after a remount): fall back to
   // the segment's own summary checksums. A replica's blocks carry the
@@ -51,8 +54,11 @@ bool Scrubber::VerifyImage(uint32_t tseg,
       tsegs_->IsReplica(tseg) ? tsegs_->Get(tseg).cache_tseg : tseg;
   const uint32_t spb =
       static_cast<uint32_t>(amap_->SegBytes() / kBlockSize);
-  return !ParsePartialsFromImage(image, amap_->TsegBase(base_tseg), spb)
-              .empty();
+  if (ParsePartialsFromImage(image, amap_->TsegBase(base_tseg), spb)
+          .empty()) {
+    return std::nullopt;
+  }
+  return Crc32(image);
 }
 
 Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
@@ -68,11 +74,13 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
     uint32_t unused;
     return tsegs_->CrcOf(tseg, &unused);
   }();
-  if (read.ok() && VerifyImage(tseg, image)) {
+  const std::optional<uint32_t> crc =
+      read.ok() ? VerifyImage(tseg, image) : std::nullopt;
+  if (crc) {
     if (!had_crc) {
       stats_.crcs_restamped++;
     }
-    tsegs_->SetCrc(tseg, Crc32(image));
+    tsegs_->SetCrc(tseg, *crc);
     lost_.erase(tseg);
     return Outcome::kClean;
   }
@@ -98,14 +106,16 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
   }
   for (uint32_t candidate : candidates) {
     std::vector<uint8_t> good(amap_->SegBytes());
-    if (!ReadWithRetry(candidate, good).ok() ||
-        !VerifyImage(candidate, good)) {
+    const std::optional<uint32_t> good_crc =
+        ReadWithRetry(candidate, good).ok() ? VerifyImage(candidate, good)
+                                            : std::nullopt;
+    if (!good_crc) {
       continue;
     }
     Status repaired = footprint_->RepairWrite(
         static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg), good);
     if (repaired.ok()) {
-      tsegs_->SetCrc(tseg, Crc32(good));
+      tsegs_->SetCrc(tseg, *good_crc);
       lost_.erase(tseg);
       stats_.repairs++;
       tracer_.Record(TraceEvent::kScrubRepair, tseg, candidate);
@@ -119,11 +129,13 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
   // WAN, when a multi-site deployment has wired one in.
   if (remote_source_) {
     Result<std::vector<uint8_t>> remote = remote_source_(tseg);
-    if (remote.ok() && VerifyImage(tseg, *remote)) {
+    const std::optional<uint32_t> remote_crc =
+        remote.ok() ? VerifyImage(tseg, *remote) : std::nullopt;
+    if (remote_crc) {
       Status repaired = footprint_->RepairWrite(
           static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg), *remote);
       if (repaired.ok()) {
-        tsegs_->SetCrc(tseg, Crc32(*remote));
+        tsegs_->SetCrc(tseg, *remote_crc);
         lost_.erase(tseg);
         stats_.repairs++;
         stats_.remote_repairs++;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <set>
 #include <span>
 #include <vector>
@@ -94,10 +95,11 @@ class Scrubber {
   void Tally(Outcome outcome, Report& report);
   // Whole-segment read with the retry policy's bounded backoff.
   Status ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf);
-  // True when `image` matches the recorded CRC of `tseg`, or — with no CRC
-  // recorded — when the image's partial segments parse cleanly against the
-  // media's own summary checksums.
-  bool VerifyImage(uint32_t tseg, std::span<const uint8_t> image) const;
+  // The CRC of `image` when it matches the recorded CRC of `tseg`, or, with
+  // no CRC recorded, when the image's partial segments parse cleanly against
+  // the media's own summary checksums; nullopt when the image is bad.
+  std::optional<uint32_t> VerifyImage(uint32_t tseg,
+                                      std::span<const uint8_t> image) const;
 
   Footprint* footprint_;
   TsegTable* tsegs_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "sim/sim_clock.h"
 #include "util/crc32.h"
@@ -75,6 +76,81 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   uint32_t before = Crc32(data);
   data[1234] ^= 0x01;
   EXPECT_NE(before, Crc32(data));
+}
+
+// The byte-at-a-time table loop Crc32 is defined by: reflected IEEE
+// polynomial, seed chained through the pre/post inversion.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t n, uint32_t seed) {
+  static const std::vector<uint32_t> kTable = [] {
+    std::vector<uint32_t> table(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryShortLengthAndOffset) {
+  // Every length through the 64-byte fold threshold and well past it, at
+  // every misalignment, so the folded bulk and the bytewise tail both run.
+  const std::vector<uint8_t> buf = RandomBytes(1100 + 16, 7);
+  int mismatches = 0;
+  for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x12345678u}) {
+    for (size_t offset = 0; offset <= 16; ++offset) {
+      for (size_t len = 0; len <= 1100; ++len) {
+        std::span<const uint8_t> span(buf.data() + offset, len);
+        if (Crc32(span, seed) != ReferenceCrc32(span.data(), len, seed)) {
+          ADD_FAILURE() << "len " << len << " offset " << offset << " seed "
+                        << seed;
+          if (++mismatches > 10) {
+            return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesReferenceOnRandomSpans) {
+  const std::vector<uint8_t> buf = RandomBytes((1 << 20) + 64, 11);
+  Rng rng(13);
+  for (int i = 0; i < 300; ++i) {
+    // Log-spread lengths up to 1 MB: most spans are short, a few are whole
+    // segments.
+    const size_t len = rng.Below((uint64_t{1} << rng.Below(21)) + 1);
+    const size_t offset = rng.Below(buf.size() - len + 1);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    std::span<const uint8_t> span(buf.data() + offset, len);
+    ASSERT_EQ(Crc32(span, seed), ReferenceCrc32(span.data(), len, seed))
+        << "len " << len << " offset " << offset;
+  }
+}
+
+TEST(Crc32Test, ChainsAcrossAnOddSplit) {
+  const std::vector<uint8_t> seg = RandomBytes(1 << 20, 17);
+  const uint32_t whole = Crc32(seg);
+  EXPECT_EQ(whole, ReferenceCrc32(seg.data(), seg.size(), 0));
+  const size_t split = 333'333;
+  std::span<const uint8_t> all(seg);
+  EXPECT_EQ(Crc32(all.subspan(split), Crc32(all.first(split))), whole);
 }
 
 TEST(SerializeTest, RoundTripsScalars) {
