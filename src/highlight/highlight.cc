@@ -436,6 +436,7 @@ Result<MigrationReport> HighLightFs::MigrateColdRangesUnder(
     total.bytes_migrated += r.bytes_migrated;
     total.blocks_skipped += r.blocks_skipped;
     total.segments_completed += r.segments_completed;
+    total.eom_retargets += r.eom_retargets;
   }
   return total;
 }

@@ -577,22 +577,28 @@ Result<MigrationReport> Migrator::MigrateFiles(
   // Migrate only stable, on-disk state: push dirty data out first.
   RETURN_IF_ERROR(fs_->Sync());
   MigrationReport report;
-  uint32_t segs_before = lifetime_.segments_completed;
-  uint32_t eom_before = lifetime_.eom_retargets;
+  const MigrationReport start = lifetime_;
   for (uint32_t ino : inos) {
     RETURN_IF_ERROR(MigrateOneFile(ino, opts, report));
   }
-  // Complete the trailing (possibly partial) staging segment.
+  RETURN_IF_ERROR(FinishPass(opts, start, report));
+  return report;
+}
+
+Status Migrator::FinishPass(const MigratorOptions& opts,
+                            const MigrationReport& start,
+                            MigrationReport& report) {
   RETURN_IF_ERROR(CompleteSegment(opts));
-  report.segments_completed = lifetime_.segments_completed - segs_before;
-  report.eom_retargets = lifetime_.eom_retargets - eom_before;
+  report.segments_completed =
+      lifetime_.segments_completed - start.segments_completed;
+  report.eom_retargets = lifetime_.eom_retargets - start.eom_retargets;
   RETURN_IF_ERROR(tsegs_->Store());
   RETURN_IF_ERROR(fs_->Sync());
   lifetime_.files_migrated += report.files_migrated;
   lifetime_.blocks_migrated += report.blocks_migrated;
   lifetime_.bytes_migrated += report.bytes_migrated;
   lifetime_.blocks_skipped += report.blocks_skipped;
-  return report;
+  return OkStatus();
 }
 
 Result<MigrationReport> Migrator::MigrateBlocks(
@@ -604,17 +610,29 @@ Result<MigrationReport> Migrator::MigrateBlocks(
   eff.migrate_inode = false;
   eff.migrate_metadata = false;
   ASSIGN_OR_RETURN(DInode inode, fs_->GetInode(ino));
+  // Classify through the block map before reading anything: reading a
+  // tertiary-resident block just to skip it would demand-fetch its segment.
+  std::vector<BlockRef> refs;
+  refs.reserve(lbns.size());
+  for (uint32_t lbn : lbns) {
+    refs.push_back(BlockRef{ino, inode.version, lbn});
+  }
+  const std::vector<uint32_t> daddrs = fs_->BmapV(refs);
+  const MigrationReport start = lifetime_;
   {
-    // Scope ends before Store() below so the tsegfile sees flushed state.
+    // Scope ends before FinishPass()'s Store() so the tsegfile sees flushed
+    // state.
     Lfs::TertiaryBatchScope batch(fs_);
-    for (uint32_t lbn : lbns) {
-      Result<std::pair<std::vector<uint8_t>, uint32_t>> block =
-          fs_->ReadFileBlock(ino, lbn);
-      if (!block.ok()) {
+    for (size_t i = 0; i < lbns.size(); ++i) {
+      const uint32_t lbn = lbns[i];
+      if (daddrs[i] == kNoBlock ||
+          amap_->Classify(daddrs[i]) == AddressMap::Zone::kTertiary) {
         report.blocks_skipped++;
         continue;
       }
-      if (amap_->Classify(block->second) == AddressMap::Zone::kTertiary) {
+      Result<std::pair<std::vector<uint8_t>, uint32_t>> block =
+          fs_->ReadFileBlock(ino, lbn);
+      if (!block.ok()) {
         report.blocks_skipped++;
         continue;
       }
@@ -635,11 +653,7 @@ Result<MigrationReport> Migrator::MigrateBlocks(
   if (report.blocks_migrated > 0) {
     report.files_migrated = 1;
   }
-  RETURN_IF_ERROR(CompleteSegment(eff));
-  RETURN_IF_ERROR(tsegs_->Store());
-  RETURN_IF_ERROR(fs_->Sync());
-  lifetime_.blocks_migrated += report.blocks_migrated;
-  lifetime_.bytes_migrated += report.bytes_migrated;
+  RETURN_IF_ERROR(FinishPass(eff, start, report));
   return report;
 }
 

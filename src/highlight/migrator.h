@@ -85,7 +85,9 @@ class Migrator {
                                        const MigratorOptions& opts);
 
   // Migrates selected data blocks of one file (block-range migration). The
-  // inode and indirect blocks stay on disk.
+  // inode and indirect blocks stay on disk. Only disk-resident blocks are
+  // read; tertiary and unallocated ones are skipped on their block-map
+  // address alone, so a repeated pass recalls nothing.
   Result<MigrationReport> MigrateBlocks(uint32_t ino,
                                         const std::vector<uint32_t>& lbns,
                                         const MigratorOptions& opts);
@@ -200,6 +202,12 @@ class Migrator {
   Status StageInode(uint32_t ino, const MigratorOptions& opts);
   Status MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
                         MigrationReport& report);
+  // Ends a migration pass that began when the lifetime totals read `start`:
+  // completes the trailing (possibly partial) staging segment, takes the
+  // pass's segment and EOM counts as lifetime deltas, persists the tsegfile
+  // and adds the pass's counts to the lifetime totals.
+  Status FinishPass(const MigratorOptions& opts, const MigrationReport& start,
+                    MigrationReport& report);
   void RecordMove(const Lfs::MigrationAssignment& move);
 
   Lfs* fs_;

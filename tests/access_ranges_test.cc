@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "highlight/highlight.h"
 #include "lfs/access_ranges.h"
 #include "util/rng.h"
@@ -179,6 +181,107 @@ TEST_F(ColdRangeMigrationTest, SequentiallyReadFileCostsOneRecord) {
     ASSERT_TRUE(hl_->fs().Read(*ino, off, buf).ok());
   }
   EXPECT_EQ(hl_->Internals().access_tracker.RecordCount(*ino), 1u);
+}
+
+// Tape-side traffic (demand fetches, jukebox bytes read, media swaps) that a
+// cold-range pass must leave alone for blocks already on tertiary.
+using TertiaryTraffic = std::tuple<uint64_t, uint64_t, uint64_t>;
+
+TertiaryTraffic Traffic(HighLightFs& hl) {
+  return {hl.Internals().service.stats().demand_fetches,
+          hl.Internals().jukebox(0).bytes_read(),
+          hl.Internals().footprint.TotalMediaSwaps()};
+}
+
+// Lets everything written so far settle, then runs a cold-range pass whose
+// cutoff lies after it.
+Result<MigrationReport> ColdPass(HighLightFs& hl, SimClock& clock) {
+  clock.Advance(10 * kUsPerSec);
+  SimTime cutoff = clock.Now();
+  clock.Advance(10 * kUsPerSec);
+  return hl.Migrate(MigrationRequest{.cold_cutoff = cutoff});
+}
+
+TEST_F(ColdRangeMigrationTest, SecondPassSkipsTertiaryBlocksWithoutRecall) {
+  Result<uint32_t> ino = hl_->fs().Create("/cold");
+  ASSERT_TRUE(ino.ok());
+  auto data = Pattern(1 << 20, 4);
+  ASSERT_TRUE(hl_->fs().Write(*ino, 0, data).ok());
+  ASSERT_TRUE(hl_->fs().Sync().ok());
+  Result<MigrationReport> first = ColdPass(*hl_, clock_);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->blocks_migrated, 256u);
+
+  // Nothing cached: reading any migrated block now would fetch from tape.
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  const TertiaryTraffic before = Traffic(*hl_);
+  Result<MigrationReport> second = ColdPass(*hl_, clock_);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->blocks_migrated, 0u);
+  EXPECT_EQ(second->blocks_skipped, 256u);
+  EXPECT_EQ(second->segments_completed, 0u);
+  EXPECT_EQ(Traffic(*hl_), before) << "cold pass recalled from tape";
+
+  std::vector<uint8_t> out(data.size());
+  ASSERT_TRUE(hl_->fs().Read(*ino, 0, out).ok());
+  EXPECT_EQ(out, data);
+}
+
+TEST_F(ColdRangeMigrationTest, AppendedDiskBlocksMigrateAloneWithoutRecall) {
+  Result<uint32_t> ino = hl_->fs().Create("/grow");
+  ASSERT_TRUE(ino.ok());
+  auto head = Pattern(1 << 20, 5);
+  ASSERT_TRUE(hl_->fs().Write(*ino, 0, head).ok());
+  ASSERT_TRUE(hl_->fs().Sync().ok());
+  Result<MigrationReport> first = ColdPass(*hl_, clock_);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->blocks_migrated, 256u);
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+
+  // Sixteen whole blocks appended after the migrated prefix live on disk.
+  auto tail = Pattern(16 * kBlockSize, 6);
+  ASSERT_TRUE(hl_->fs().Write(*ino, head.size(), tail).ok());
+  ASSERT_TRUE(hl_->fs().Sync().ok());
+  const TertiaryTraffic before = Traffic(*hl_);
+  Result<MigrationReport> second = ColdPass(*hl_, clock_);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->blocks_migrated, 16u);
+  EXPECT_EQ(second->blocks_skipped, 256u);
+  EXPECT_EQ(Traffic(*hl_), before) << "cold pass recalled from tape";
+
+  Result<std::vector<BlockRef>> refs = hl_->fs().CollectFileBlocks(*ino);
+  ASSERT_TRUE(refs.ok());
+  for (const BlockRef& r : *refs) {
+    if (!IsMetaLbn(r.lbn)) {
+      EXPECT_EQ(hl_->Internals().address_map.Classify(r.daddr),
+                AddressMap::Zone::kTertiary)
+          << "lbn " << r.lbn;
+    }
+  }
+  std::vector<uint8_t> out(head.size() + tail.size());
+  ASSERT_TRUE(hl_->fs().Read(*ino, 0, out).ok());
+  head.insert(head.end(), tail.begin(), tail.end());
+  EXPECT_EQ(out, head);
+}
+
+TEST_F(ColdRangeMigrationTest, ReportMatchesLifetimeDelta) {
+  Result<uint32_t> ino = hl_->fs().Create("/parity");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(hl_->fs().Write(*ino, 0, Pattern(1 << 20, 7)).ok());
+  ASSERT_TRUE(hl_->fs().Sync().ok());
+  const MigrationReport before =
+      hl_->Internals().migrator.lifetime_report();
+  Result<MigrationReport> r = ColdPass(*hl_, clock_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const MigrationReport& after = hl_->Internals().migrator.lifetime_report();
+  EXPECT_GT(r->segments_completed, 0u);
+  EXPECT_EQ(r->segments_completed,
+            after.segments_completed - before.segments_completed);
+  EXPECT_EQ(r->eom_retargets, after.eom_retargets - before.eom_retargets);
+  EXPECT_EQ(r->files_migrated, after.files_migrated - before.files_migrated);
+  EXPECT_EQ(r->blocks_migrated,
+            after.blocks_migrated - before.blocks_migrated);
+  EXPECT_EQ(r->blocks_skipped, after.blocks_skipped - before.blocks_skipped);
 }
 
 }  // namespace
