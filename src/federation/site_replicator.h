@@ -48,6 +48,7 @@
 
 #include "highlight/fetch_backend.h"
 #include "sim/sim_clock.h"
+#include "util/buffer_pool.h"
 #include "util/fault_injector.h"
 #include "util/metrics.h"
 #include "util/span.h"
@@ -232,6 +233,7 @@ class SiteReplicator : public StagerScheduler::SiteHealthProvider {
   std::vector<Site> sites_;
   std::map<std::pair<int, int>, WanLink*> links_;  // Key: (min, max).
   std::map<std::pair<int, int>, uint32_t> ae_cursor_;  // Resume points.
+  BufferPool ship_buffers_;  // Per-ship WAN payload copies.
 
   MetricsRegistry metrics_;
   Stats stats_;

@@ -299,7 +299,8 @@ Status HighLightFs::WireFsComponents() {
   tertiary_cleaner_->AttachMetrics(&metrics_, tracer);
 
   scrubber_ = std::make_unique<Scrubber>(footprint_.get(), tsegs_.get(),
-                                         amap_.get(), clock_);
+                                         amap_.get(), clock_,
+                                         &io_server_->buffers());
   scrubber_->SetHealth(health_.get());
   scrubber_->set_retry_policy(retry_policy_);
   scrubber_->AttachMetrics(&metrics_, tracer);
@@ -467,6 +468,8 @@ Result<FetchOutcome> HighLightFs::FetchSegment(uint32_t tseg) {
   FetchOutcome outcome;
   outcome.tseg = tseg;
   const SimTime t0 = clock_->Now();
+  // Block-map faults are counted by LookupForAccess; seam recalls here.
+  cache_->CountFetchProbe(tseg);
   outcome.status = service_->DemandFetch(tseg);
   outcome.delay_us = clock_->Now() - t0;
   return outcome;
@@ -646,6 +649,10 @@ void HighLightFs::RefreshDerivedGauges() {
       .Set(static_cast<int64_t>(ls.segments_consumed));
   metrics_.gauge("lfs.clean_segments").Set(fs_->CleanSegmentCount());
   metrics_.gauge("lfs.dirty_bytes").Set(static_cast<int64_t>(fs_->DirtyBytes()));
+  metrics_.gauge("lfs.buffer_cache.hits")
+      .Set(static_cast<int64_t>(fs_->buffer_cache().hits()));
+  metrics_.gauge("lfs.buffer_cache.misses")
+      .Set(static_cast<int64_t>(fs_->buffer_cache().misses()));
 
   const MigrationReport& mr = migrator_->lifetime_report();
   metrics_.gauge("migrator.files_migrated").Set(mr.files_migrated);
@@ -679,6 +686,8 @@ void HighLightFs::RefreshDerivedGauges() {
       .Set(static_cast<int64_t>(spans_->window_bytes()));
   metrics_.gauge("engine.buffer_arena_bytes")
       .Set(static_cast<int64_t>(fs_->buffer_cache().arena_bytes()));
+  metrics_.gauge("engine.transfer_buffers_allocated")
+      .Set(static_cast<int64_t>(io_server_->buffers().allocations()));
 }
 
 MetricsSnapshot HighLightFs::Metrics() {

@@ -159,7 +159,8 @@ Status IoServer::ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf) {
 
 Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
   const uint64_t seg_bytes = amap_->SegBytes();
-  std::vector<uint8_t> buf(seg_bytes);
+  const BufferPool::Buffer image = AcquireSegmentBuffer();
+  std::vector<uint8_t>& buf = *image;
 
   SpanScope fetch(spans_, "fetch", "io");
   fetch.Annotate("tseg", std::to_string(tseg));
@@ -213,7 +214,8 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
 
 Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
   const uint64_t seg_bytes = amap_->SegBytes();
-  std::vector<uint8_t> buf(seg_bytes);
+  const BufferPool::Buffer image = AcquireSegmentBuffer();
+  std::vector<uint8_t>& buf = *image;
 
   SpanScope span(spans_, "copyout", "io");
   span.Annotate("tseg", std::to_string(tseg));
@@ -423,7 +425,8 @@ Status IoServer::Deliver(PendingOp& op, const Status& s) {
 Status IoServer::IssueOne(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
-  std::vector<uint8_t> buf(seg_bytes);
+  const BufferPool::Buffer image = AcquireSegmentBuffer();
+  std::vector<uint8_t>& buf = *image;
 
   // The issue-time span is a child of the *enqueue-time* context, not of
   // whatever span happens to be open now (often a later drain): causality
@@ -835,7 +838,8 @@ Status IoServer::IssueRead(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
   if (!op.image) {
-    op.image = std::make_shared<std::vector<uint8_t>>(seg_bytes);
+    // Back to the pool when the op dies, unless a waiter kept a reference.
+    op.image = AcquireSegmentBuffer();
   }
   std::span<uint8_t> buf(op.image->data(), op.image->size());
   const bool demand = op.kind == OpKind::kDemandRead;

@@ -38,6 +38,7 @@
 #include "lfs/format.h"
 #include "sim/sim_clock.h"
 #include "tertiary/footprint.h"
+#include "util/buffer_pool.h"
 #include "util/fault_injector.h"
 #include "util/health.h"
 #include "util/metrics.h"
@@ -207,6 +208,14 @@ class IoServer {
   size_t max_queue_depth() const { return max_queue_depth_; }
   SimTime pipeline_busy_until() const { return pipeline_busy_until_; }
 
+  // The pool every segment-sized transfer image comes from: this server's
+  // fetches, copy-outs and queued reads, plus the read-ahead images and
+  // scrub reads of the components wired to it.
+  BufferPool& buffers() { return buffers_; }
+  BufferPool::Buffer AcquireSegmentBuffer() {
+    return buffers_.Acquire(amap_->SegBytes());
+  }
+
   PhaseAccumulator& phases() { return phases_; }
   // Interned handles for the Table-4 phases: hot paths attribute time via
   // Add(id, ...) — a vector index — instead of a per-call string lookup.
@@ -272,9 +281,9 @@ class IoServer {
     uint32_t tseg = kNoSegment;
     uint32_t disk_seg = kNoSegment;
     Completion done;
-    // Read ops: transfer buffer (owned, or a read-ahead's shared image) and
-    // the waiters a coalesced transfer fans out to.
-    std::shared_ptr<std::vector<uint8_t>> image{};
+    // Read ops: transfer buffer (from the pool at issue, or a read-ahead's
+    // shared image) and the waiters a coalesced transfer fans out to.
+    BufferPool::Buffer image{};
     std::vector<ReadDone> readers{};
     // Enqueue-time span context; the issue-time span is begun under it so
     // write-behind work stays causally attached to whoever queued it.
@@ -351,6 +360,7 @@ class IoServer {
   HealthRegistry* health_ = nullptr;
   CrcLookup crc_lookup_;
   CrcStore crc_store_;
+  BufferPool buffers_;
   PhaseAccumulator phases_;
   // Interned once here; "footprint"/"ioserver"/"queuing" sort in the same
   // order the old string-keyed map iterated, keeping export output stable.

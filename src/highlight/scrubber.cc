@@ -67,7 +67,8 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
     return Outcome::kSkipped;
   }
   const uint32_t volume = amap_->VolumeOfTseg(tseg);
-  std::vector<uint8_t> image(amap_->SegBytes());
+  const BufferPool::Buffer scratch = buffers_->Acquire(amap_->SegBytes());
+  std::vector<uint8_t>& image = *scratch;
   Status read = ReadWithRetry(tseg, image);
   stats_.segments_scrubbed++;
   const bool had_crc = [&] {
@@ -105,15 +106,15 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
     candidates = tsegs_->ReplicasOf(tseg);
   }
   for (uint32_t candidate : candidates) {
-    std::vector<uint8_t> good(amap_->SegBytes());
+    // The bad image is done with: each candidate read overwrites it.
     const std::optional<uint32_t> good_crc =
-        ReadWithRetry(candidate, good).ok() ? VerifyImage(candidate, good)
-                                            : std::nullopt;
+        ReadWithRetry(candidate, image).ok() ? VerifyImage(candidate, image)
+                                             : std::nullopt;
     if (!good_crc) {
       continue;
     }
     Status repaired = footprint_->RepairWrite(
-        static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg), good);
+        static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg), image);
     if (repaired.ok()) {
       tsegs_->SetCrc(tseg, *good_crc);
       lost_.erase(tseg);

@@ -24,6 +24,7 @@
 #include "highlight/tseg_table.h"
 #include "sim/sim_clock.h"
 #include "tertiary/footprint.h"
+#include "util/buffer_pool.h"
 #include "util/fault_injector.h"
 #include "util/health.h"
 #include "util/metrics.h"
@@ -33,9 +34,14 @@ namespace hl {
 
 class Scrubber {
  public:
+  // Scrub images come from `buffers` (the I/O server's transfer pool).
   Scrubber(Footprint* footprint, TsegTable* tsegs, const AddressMap* amap,
-           SimClock* clock)
-      : footprint_(footprint), tsegs_(tsegs), amap_(amap), clock_(clock) {}
+           SimClock* clock, BufferPool* buffers)
+      : footprint_(footprint),
+        tsegs_(tsegs),
+        amap_(amap),
+        clock_(clock),
+        buffers_(buffers) {}
 
   void SetHealth(HealthRegistry* health) { health_ = health; }
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
@@ -105,6 +111,7 @@ class Scrubber {
   TsegTable* tsegs_;
   const AddressMap* amap_;
   SimClock* clock_;
+  BufferPool* buffers_;
   HealthRegistry* health_ = nullptr;
   RetryPolicy retry_;
   RemoteSource remote_source_;

@@ -113,6 +113,18 @@ uint32_t SegmentCache::LookupForAccess(uint32_t tseg) {
   return line->disk_seg;
 }
 
+void SegmentCache::CountFetchProbe(uint32_t tseg) {
+  const LineInfo* line = FindLine(tseg);
+  const bool in_flight = line != nullptr && line->installing &&
+                         (line->ready_at == 0 ||
+                          line->ready_at > fs_->clock()->Now());
+  if (line == nullptr || in_flight) {
+    ++misses_;
+  } else {
+    ++hits_;
+  }
+}
+
 void SegmentCache::Touch(uint32_t tseg) {
   LineInfo* line = FindLine(tseg);
   if (line == nullptr) {

@@ -57,6 +57,13 @@ class SegmentCache {
   // serving a partially-written line.
   uint32_t LookupForAccess(uint32_t tseg);
 
+  // Counts a recall that arrives through the FetchBackend seam (stager
+  // FetchSegment/FetchBatch) the way LookupForAccess counts a block-map
+  // access: a resident line is a hit; an absent line, or one whose install
+  // is still in flight, is a miss. Recency, the prefetched flag and the
+  // install state are left alone.
+  void CountFetchProbe(uint32_t tseg);
+
   // Async-read-pipeline install protocol. BeginInstall allocates a line
   // whose data is still in flight on the tertiary device: the line is in
   // the directory (so duplicate faults and read-aheads can find it) but

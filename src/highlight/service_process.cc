@@ -230,7 +230,8 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
   }
   SpanScope span(spans_, "readahead", "service");
   span.Annotate("tseg", std::to_string(next));
-  auto image = std::make_shared<std::vector<uint8_t>>(io_->SegBytes());
+  // Leaves the pool until pending_prefetch_ (or the failed read) lets go.
+  BufferPool::Buffer image = io_->AcquireSegmentBuffer();
   Status s;
   if (async_reads_) {
     // Queue through the unified read pipeline; if a demand fault on `next`
@@ -282,6 +283,7 @@ ServiceProcess::DemandFetchBatch(const std::vector<uint32_t>& tsegs) {
       clock_->Advance(request_overhead_us_);
       io_->phases().Add(io_->phase_queuing(), clock_->Now() - q0);
       stats_.demand_fetches++;
+      cache_->CountFetchProbe(tsegs[i]);
       SimTime start = clock_->Now();
       out[i].status = FetchIntoCache(tsegs[i], /*is_prefetch=*/false);
       out[i].delay_us = clock_->Now() - t0;
@@ -312,6 +314,7 @@ ServiceProcess::DemandFetchBatch(const std::vector<uint32_t>& tsegs) {
     clock_->Advance(request_overhead_us_);
     io_->phases().Add(io_->phase_queuing(), clock_->Now() - q0);
     stats_.demand_fetches++;
+    cache_->CountFetchProbe(tseg);
     if (cache_->Installing(tseg)) {
       // Duplicate of an earlier batch entry, or an in-flight prefetch
       // install: piggyback on the existing fetch.

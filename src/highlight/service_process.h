@@ -130,7 +130,7 @@ class ServiceProcess {
   Status AsyncPrefetch(uint32_t tseg);
 
   struct PendingPrefetch {
-    std::shared_ptr<std::vector<uint8_t>> image;
+    BufferPool::Buffer image;
     SimTime ready_at = 0;
   };
 

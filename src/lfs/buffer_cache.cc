@@ -34,19 +34,26 @@ void BufferCache::LinkFront(uint32_t s) {
 }
 
 bool BufferCache::Lookup(uint32_t daddr, std::span<uint8_t> out) {
+  std::span<const uint8_t> data = Peek(daddr);
+  if (data.empty()) {
+    return false;
+  }
+  std::memcpy(out.data(), data.data(), std::min(out.size(), data.size()));
+  return true;
+}
+
+std::span<const uint8_t> BufferCache::Peek(uint32_t daddr) {
   auto it = entries_.find(daddr);
   if (it == entries_.end()) {
     ++misses_;
-    return false;
+    return {};
   }
   ++hits_;
   if (head_ != it->second) {
     Unlink(it->second);
     LinkFront(it->second);
   }
-  const std::vector<uint8_t>& data = slots_[it->second].data;
-  std::memcpy(out.data(), data.data(), std::min(out.size(), data.size()));
-  return true;
+  return slots_[it->second].data;
 }
 
 void BufferCache::Insert(uint32_t daddr, std::span<const uint8_t> block) {

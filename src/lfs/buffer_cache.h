@@ -27,7 +27,13 @@ class BufferCache {
   explicit BufferCache(uint32_t capacity_blocks)
       : capacity_(capacity_blocks) {}
 
-  // Returns true and fills `out` on a hit; records nothing on a miss.
+  // The cached bytes of `daddr` in place, or an empty span on a miss.
+  // Counts the hit or miss and promotes a hit to most recent. The view is
+  // valid until the next Insert, Invalidate or Flush.
+  std::span<const uint8_t> Peek(uint32_t daddr);
+
+  // Peek plus a copy: returns true and fills `out` on a hit; a miss leaves
+  // `out` untouched.
   bool Lookup(uint32_t daddr, std::span<uint8_t> out);
 
   // Inserts (or refreshes) the block, evicting LRU entries as needed.

@@ -332,9 +332,11 @@ class Lfs {
   // Points (ino, lbn) at new_daddr, loading/dirtying indirect blocks as
   // needed and adjusting segment usage for the old address.
   Status SetBmap(uint32_t ino, uint32_t lbn, uint32_t new_daddr);
-  // Reads a metadata block (indirect) for bmap traversal.
-  Result<std::vector<uint8_t>> ReadMetaBlock(uint32_t ino, uint32_t meta_lbn,
-                                             uint32_t daddr);
+  // Pointer `index` of metadata block (ino, meta_lbn) stored at `daddr`,
+  // read in place: from the dirty copy when there is one, else from the
+  // buffer cache; only a miss reads the device (and caches the block).
+  Result<uint32_t> ReadMetaPtr(uint32_t ino, uint32_t meta_lbn,
+                               uint32_t daddr, uint32_t index);
   // Ensures a metadata block is present in the dirty map (loading or creating
   // it) and returns a pointer to its bytes.
   Result<std::vector<uint8_t>*> LoadMetaDirty(uint32_t ino, uint32_t meta_lbn);
@@ -342,6 +344,12 @@ class Lfs {
   Status FreeFileBlocks(uint32_t ino, uint32_t from_lbn);
 
   // --- Read path ------------------------------------------------------------------
+  // The bytes of block `daddr`: in place in the buffer cache on a hit; on a
+  // miss, read into `scratch` and inserted. Valid until the next cache
+  // mutation.
+  Result<std::span<const uint8_t>> PeekBlockThroughCache(
+      uint32_t daddr, std::span<uint8_t> scratch);
+  // Copying form of PeekBlockThroughCache, for callers that keep the block.
   Status ReadBlockThroughCache(uint32_t daddr, std::span<uint8_t> out);
   // Clustered read of a file data block with read-ahead.
   Status ReadFileDataBlock(DInode& inode, uint32_t lbn,

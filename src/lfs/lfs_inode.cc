@@ -1,6 +1,7 @@
 // Inode management and block mapping (bmap) for the LFS.
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -13,8 +14,8 @@ namespace hl {
 namespace {
 
 // Reads a 32-bit little-endian pointer out of an indirect block.
-uint32_t GetPtr(const std::vector<uint8_t>& block, uint32_t index) {
-  Reader r(std::span<const uint8_t>(block.data() + index * 4, 4));
+uint32_t GetPtr(std::span<const uint8_t> block, uint32_t index) {
+  Reader r(block.subspan(static_cast<size_t>(index) * 4, 4));
   return r.GetU32();
 }
 
@@ -44,11 +45,12 @@ Result<DInode> Lfs::ReadInodeFromDevice(uint32_t ino) {
   if (daddr == kNoBlock) {
     return NotFound("inode " + std::to_string(ino) + " is free");
   }
-  std::vector<uint8_t> block(kBlockSize);
-  RETURN_IF_ERROR(ReadBlockThroughCache(daddr, block));
+  std::array<uint8_t, kBlockSize> scratch;  // Miss only; see ReadMetaPtr.
+  ASSIGN_OR_RETURN(std::span<const uint8_t> block,
+                   PeekBlockThroughCache(daddr, scratch));
   for (uint32_t slot = 0; slot < kInodesPerBlock; ++slot) {
-    Result<DInode> d = DInode::Deserialize(std::span<const uint8_t>(
-        block.data() + slot * kInodeSize, kInodeSize));
+    Result<DInode> d =
+        DInode::Deserialize(block.subspan(slot * kInodeSize, kInodeSize));
     if (d.ok() && d->ino == ino && d->version == imap_[ino].version) {
       return *d;
     }
@@ -119,10 +121,7 @@ Result<uint32_t> Lfs::Bmap(const DInode& inode, uint32_t lbn) {
     if (child >= kPtrsPerBlock || inode.dindirect == kNoBlock) {
       return static_cast<uint32_t>(kNoBlock);
     }
-    ASSIGN_OR_RETURN(
-        std::vector<uint8_t> root,
-        ReadMetaBlock(inode.ino, kLbnDoubleIndirect, inode.dindirect));
-    return GetPtr(root, child);
+    return ReadMetaPtr(inode.ino, kLbnDoubleIndirect, inode.dindirect, child);
   }
   // Data lbns.
   if (lbn < kNumDirect) {
@@ -132,10 +131,8 @@ Result<uint32_t> Lfs::Bmap(const DInode& inode, uint32_t lbn) {
     if (inode.indirect == kNoBlock) {
       return static_cast<uint32_t>(kNoBlock);
     }
-    ASSIGN_OR_RETURN(
-        std::vector<uint8_t> ind,
-        ReadMetaBlock(inode.ino, kLbnSingleIndirect, inode.indirect));
-    return GetPtr(ind, lbn - kNumDirect);
+    return ReadMetaPtr(inode.ino, kLbnSingleIndirect, inode.indirect,
+                       lbn - kNumDirect);
   }
   uint64_t beyond = static_cast<uint64_t>(lbn) - kNumDirect - kPtrsPerBlock;
   if (beyond >= static_cast<uint64_t>(kPtrsPerBlock) * kPtrsPerBlock) {
@@ -146,28 +143,27 @@ Result<uint32_t> Lfs::Bmap(const DInode& inode, uint32_t lbn) {
   if (inode.dindirect == kNoBlock) {
     return static_cast<uint32_t>(kNoBlock);
   }
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> root,
-      ReadMetaBlock(inode.ino, kLbnDoubleIndirect, inode.dindirect));
-  uint32_t child_daddr = GetPtr(root, child_index);
+  ASSIGN_OR_RETURN(uint32_t child_daddr,
+                   ReadMetaPtr(inode.ino, kLbnDoubleIndirect, inode.dindirect,
+                               child_index));
   if (child_daddr == kNoBlock) {
     return static_cast<uint32_t>(kNoBlock);
   }
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> child,
-      ReadMetaBlock(inode.ino, DindChildLbn(child_index), child_daddr));
-  return GetPtr(child, entry);
+  return ReadMetaPtr(inode.ino, DindChildLbn(child_index), child_daddr,
+                     entry);
 }
 
-Result<std::vector<uint8_t>> Lfs::ReadMetaBlock(uint32_t ino,
-                                                uint32_t meta_lbn,
-                                                uint32_t daddr) {
+Result<uint32_t> Lfs::ReadMetaPtr(uint32_t ino, uint32_t meta_lbn,
+                                  uint32_t daddr, uint32_t index) {
   if (std::vector<uint8_t>* dirty = FindDirtyBlock(ino, meta_lbn)) {
-    return *dirty;
+    return GetPtr(*dirty, index);
   }
-  std::vector<uint8_t> block(kBlockSize);
-  RETURN_IF_ERROR(ReadBlockThroughCache(daddr, block));
-  return block;
+  // Left uninitialized on purpose: only a miss uses it, and the device read
+  // fills it first; zeroing it would cost every hit a 4 KB memset.
+  std::array<uint8_t, kBlockSize> scratch;
+  ASSIGN_OR_RETURN(std::span<const uint8_t> block,
+                   PeekBlockThroughCache(daddr, scratch));
+  return GetPtr(block, index);
 }
 
 Result<std::vector<uint8_t>*> Lfs::LoadMetaDirty(uint32_t ino,

@@ -43,12 +43,23 @@ void Lfs::PutDirtyBlock(uint32_t ino, uint32_t lbn,
   }
 }
 
-Status Lfs::ReadBlockThroughCache(uint32_t daddr, std::span<uint8_t> out) {
-  if (buffer_cache_.Lookup(daddr, out)) {
-    return OkStatus();
+Result<std::span<const uint8_t>> Lfs::PeekBlockThroughCache(
+    uint32_t daddr, std::span<uint8_t> scratch) {
+  std::span<const uint8_t> cached = buffer_cache_.Peek(daddr);
+  if (!cached.empty()) {
+    return cached;
   }
-  RETURN_IF_ERROR(dev_->ReadBlocks(daddr, 1, out));
-  buffer_cache_.Insert(daddr, std::span<const uint8_t>(out.data(), out.size()));
+  RETURN_IF_ERROR(dev_->ReadBlocks(daddr, 1, scratch));
+  buffer_cache_.Insert(daddr, scratch);
+  return std::span<const uint8_t>(scratch);
+}
+
+Status Lfs::ReadBlockThroughCache(uint32_t daddr, std::span<uint8_t> out) {
+  ASSIGN_OR_RETURN(std::span<const uint8_t> block,
+                   PeekBlockThroughCache(daddr, out));
+  if (block.data() != out.data()) {
+    std::memcpy(out.data(), block.data(), std::min(out.size(), block.size()));
+  }
   return OkStatus();
 }
 

@@ -57,11 +57,18 @@ void Volume::CopyIn(uint64_t offset, std::span<const uint8_t> data) {
     uint64_t chunk_off = pos % kChunkSize;
     size_t take = static_cast<size_t>(
         std::min<uint64_t>(kChunkSize - chunk_off, data.size() - done));
+    const uint8_t* src = data.data() + done;
     auto [it, inserted] = chunks_.try_emplace(chunk_index);
+    std::vector<uint8_t>& chunk = it->second;
     if (inserted) {
-      it->second.assign(kChunkSize, 0);
+      // A new chunk reads as zeros outside the write; zero only those bytes.
+      chunk.reserve(kChunkSize);
+      chunk.resize(chunk_off);
+      chunk.insert(chunk.end(), src, src + take);
+      chunk.resize(kChunkSize);
+    } else {
+      std::memcpy(chunk.data() + chunk_off, src, take);
     }
-    std::memcpy(it->second.data() + chunk_off, data.data() + done, take);
     done += take;
   }
 }

@@ -32,6 +32,29 @@ TEST(VolumeTest, UnwrittenReadsZero) {
   }
 }
 
+TEST(VolumeTest, PartialChunkWriteLeavesRestOfChunkZero) {
+  // Storage is allocated in 64 KB chunks; a write covering only the middle
+  // of fresh chunks (straddling a chunk boundary) must leave every other
+  // byte of both chunks reading as zero, and a later whole-chunk write
+  // must replace a chunk entirely.
+  constexpr uint64_t kChunk = 64 * 1024;
+  Volume v("t0", 1 << 20);
+  auto data = Fill(8192, 0xAB);
+  const uint64_t at = kChunk - 4096;
+  ASSERT_TRUE(v.Write(at, data).ok());
+  std::vector<uint8_t> out(2 * kChunk, 0xFF);
+  ASSERT_TRUE(v.Read(0, out).ok());
+  for (uint64_t i = 0; i < out.size(); ++i) {
+    const bool written = i >= at && i < at + data.size();
+    ASSERT_EQ(out[i], written ? 0xAB : 0) << "byte " << i;
+  }
+  auto whole = Fill(kChunk, 0x5C);
+  ASSERT_TRUE(v.Write(2 * kChunk, whole).ok());
+  std::vector<uint8_t> back(kChunk);
+  ASSERT_TRUE(v.Read(2 * kChunk, back).ok());
+  EXPECT_EQ(back, whole);
+}
+
 TEST(VolumeTest, EndOfMediumOnShortCapacity) {
   Volume v("t0", 1 << 20);
   v.SetActualCapacity(8192);  // Compression fell short of nominal.
