@@ -255,7 +255,8 @@ int main(int argc, char** argv) {
     uint32_t shard = static_cast<uint32_t>(ev->file % kShards);
     const auto& pool = fetchable[shard];
     uint32_t tseg = pool[(ev->file / kShards) % pool.size()];
-    std::string tenant = "t" + std::to_string(ev->tenant);
+    std::string tenant = "t";
+    tenant.append(std::to_string(ev->tenant));
     Status s = stager.SubmitFetch(tenant, static_cast<int>(shard), tseg);
     while (s.code() == ErrorCode::kBusy) {
       busy_retries++;

@@ -372,7 +372,8 @@ int main(int argc, char** argv) {
     // Every recall targets its home shard at site A; routing (and, during
     // the outage, failover) is the stager's problem.
     uint32_t tseg = pool[ev->file % pool.size()];
-    std::string tenant = "t" + std::to_string(ev->tenant);
+    std::string tenant = "t";
+    tenant.append(std::to_string(ev->tenant));
     Status s = stager.SubmitFetch(tenant, kShardA, tseg);
     while (s.code() == ErrorCode::kBusy) {
       busy_retries++;

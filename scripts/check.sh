@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Full pre-merge check: build the default and asan presets, run the test
-# suite under both. Usage: scripts/check.sh [--fast]  (--fast skips asan).
+# Full pre-merge check: build the default, release and asan presets, run the
+# test suite under each. Usage: scripts/check.sh [--fast]  (--fast skips the
+# release and asan presets). Every preset compiles with -Werror; the release
+# preset is the optimization level at which GCC's flow-sensitive warnings
+# (-Wrestrict and friends) fire.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +29,7 @@ run() {
 
 run default
 if [[ $fast -eq 0 ]]; then
+  run release
   run asan
   # The fault surface (injection, retry, scrub, quarantine) gets an extra
   # dedicated pass under the sanitizers: memory bugs love error paths.

@@ -1,7 +1,5 @@
 #include "blockdev/sim_disk.h"
 
-#include <cstring>
-
 namespace hl {
 
 SimDisk::SimDisk(std::string name, uint32_t num_blocks, DiskProfile profile,
@@ -11,11 +9,10 @@ SimDisk::SimDisk(std::string name, uint32_t num_blocks, DiskProfile profile,
       profile_(std::move(profile)),
       clock_(clock),
       spindle_(name_ + ".spindle"),
-      bus_(bus),
-      data_(static_cast<size_t>(num_blocks) * kBlockSize, 0) {
+      bus_(bus) {
   // The timing model scales seeks by capacity; use the actual simulated size
   // so that address distance maps onto arm travel sensibly.
-  profile_.capacity_bytes = data_.size();
+  profile_.capacity_bytes = static_cast<uint64_t>(num_blocks) * kBlockSize;
 }
 
 void SimDisk::AttachFaults(FaultInjector* injector) {
@@ -87,7 +84,7 @@ Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
     return IoError(name_ + ": injected read failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  std::memcpy(out.data(), data_.data() + offset, out.size());
+  data_.Read(offset, out);
   if (faults_ != nullptr) {
     faults_->MaybeCorruptRead(out, offset);
   }
@@ -122,7 +119,7 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
     return IoError(name_ + ": injected write failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  std::memcpy(data_.data() + offset, data.data(), data.size());
+  data_.Write(offset, data);
   if (faults_ != nullptr) {
     faults_->NoteWrite(offset, data.size());
   }

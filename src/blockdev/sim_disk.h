@@ -1,11 +1,11 @@
 // SimDisk: an in-memory disk with an analytic timing model.
 //
-// Data are byte-accurate (a std::vector backing store), while service time is
-// computed from the DiskProfile: per-op overhead + seek (function of arm
-// travel distance) + rotational latency + transfer. The disk serializes its
-// operations through a Resource and optionally shares a bus Resource, which is
-// how the benchmarks reproduce the paper's SCSI-bus and disk-arm contention
-// observations.
+// Data are byte-accurate (a sparse MediaImage: unwritten blocks read as zeros
+// and hold no memory), while service time is computed from the DiskProfile:
+// per-op overhead + seek (function of arm travel distance) + rotational
+// latency + transfer. The disk serializes its operations through a Resource
+// and optionally shares a bus Resource, which is how the benchmarks reproduce
+// the paper's SCSI-bus and disk-arm contention observations.
 //
 // Asynchronous use: Schedule{Read,Write}At() performs the data movement
 // immediately (the simulation has no real concurrency) but reserves device
@@ -21,12 +21,12 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "blockdev/block_device.h"
 #include "sim/device_profile.h"
 #include "sim/sim_clock.h"
 #include "util/fault_injector.h"
+#include "util/media_image.h"
 #include "util/metrics.h"
 #include "util/status.h"
 
@@ -95,7 +95,7 @@ class SimDisk : public BlockDevice {
   SimClock* clock_;
   Resource spindle_;
   Resource* bus_;
-  std::vector<uint8_t> data_;
+  MediaImage data_;
   uint64_t arm_byte_pos_ = 0;
 
   int fail_ops_ = 0;

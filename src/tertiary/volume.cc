@@ -1,7 +1,6 @@
 #include "tertiary/volume.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace hl {
 
@@ -28,49 +27,11 @@ Status Volume::Read(uint64_t offset, std::span<uint8_t> out) const {
     return OutOfRange(label_ + ": read past end of medium");
   }
   RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kRead, offset, out.size()));
-  size_t done = 0;
-  while (done < out.size()) {
-    uint64_t pos = offset + done;
-    uint64_t chunk_index = pos / kChunkSize;
-    uint64_t chunk_off = pos % kChunkSize;
-    size_t take = static_cast<size_t>(
-        std::min<uint64_t>(kChunkSize - chunk_off, out.size() - done));
-    auto it = chunks_.find(chunk_index);
-    if (it == chunks_.end()) {
-      std::memset(out.data() + done, 0, take);
-    } else {
-      std::memcpy(out.data() + done, it->second.data() + chunk_off, take);
-    }
-    done += take;
-  }
+  image_.Read(offset, out);
   if (faults_ != nullptr) {
     faults_->MaybeCorruptRead(out, offset);
   }
   return OkStatus();
-}
-
-void Volume::CopyIn(uint64_t offset, std::span<const uint8_t> data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    uint64_t pos = offset + done;
-    uint64_t chunk_index = pos / kChunkSize;
-    uint64_t chunk_off = pos % kChunkSize;
-    size_t take = static_cast<size_t>(
-        std::min<uint64_t>(kChunkSize - chunk_off, data.size() - done));
-    const uint8_t* src = data.data() + done;
-    auto [it, inserted] = chunks_.try_emplace(chunk_index);
-    std::vector<uint8_t>& chunk = it->second;
-    if (inserted) {
-      // A new chunk reads as zeros outside the write; zero only those bytes.
-      chunk.reserve(kChunkSize);
-      chunk.resize(chunk_off);
-      chunk.insert(chunk.end(), src, src + take);
-      chunk.resize(kChunkSize);
-    } else {
-      std::memcpy(chunk.data() + chunk_off, src, take);
-    }
-    done += take;
-  }
 }
 
 Status Volume::Write(uint64_t offset, std::span<const uint8_t> data) {
@@ -92,7 +53,7 @@ Status Volume::Write(uint64_t offset, std::span<const uint8_t> data) {
                   label_ + ": rewrite of WORM extent");
   }
   RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kWrite, offset, data.size()));
-  CopyIn(offset, data);
+  image_.Write(offset, data);
   bytes_written_ += data.size();
   high_water_ = std::max(high_water_, offset + data.size());
   RecordRange(offset, offset + data.size());
@@ -111,7 +72,7 @@ Status Volume::Rewrite(uint64_t offset, std::span<const uint8_t> data) {
     return OutOfRange(label_ + ": rewrite past high-water mark");
   }
   RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kWrite, offset, data.size()));
-  CopyIn(offset, data);
+  image_.Write(offset, data);
   bytes_written_ += data.size();
   if (faults_ != nullptr) {
     faults_->NoteWrite(offset, data.size());
@@ -123,7 +84,7 @@ Status Volume::Erase() {
   if (write_once_) {
     return Status(ErrorCode::kNotSupported, label_ + ": cannot erase WORM");
   }
-  chunks_.clear();
+  image_.Clear();
   written_ranges_.clear();
   marked_full_ = false;
   high_water_ = 0;

@@ -1,7 +1,8 @@
 // Volume: one tertiary medium (tape cartridge, MO platter side, WORM disk).
 //
-// Storage is sparse (64 KB chunks allocated on first write) so that simulated
-// multi-gigabyte tape libraries cost memory only for data actually written.
+// Storage is a sparse MediaImage (64 KB chunks taken on first write, recycled
+// on Erase) so that simulated multi-gigabyte tape libraries cost memory only
+// for data actually written.
 // Two behaviours from the paper are modeled here:
 //  * Uncertain capacity: compressing media may hold less than the nominal
 //    size; a write past `actual_capacity` fails with kEndOfMedium, at which
@@ -16,9 +17,9 @@
 #include <map>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "util/fault_injector.h"
+#include "util/media_image.h"
 #include "util/status.h"
 
 namespace hl {
@@ -68,8 +69,6 @@ class Volume {
 
  private:
   Status CheckInjectedFault(FaultOp op, uint64_t offset, uint64_t len) const;
-  void CopyIn(uint64_t offset, std::span<const uint8_t> data);
-  static constexpr uint64_t kChunkSize = 64 * 1024;
 
   std::string label_;
   uint64_t nominal_capacity_;
@@ -79,7 +78,7 @@ class Volume {
   uint64_t bytes_written_ = 0;
   uint64_t high_water_ = 0;
   FaultChannel* faults_ = nullptr;
-  std::map<uint64_t, std::vector<uint8_t>> chunks_;
+  MediaImage image_;
   // For WORM enforcement: written byte ranges, merged. Key = start, val = end.
   std::map<uint64_t, uint64_t> written_ranges_;
 

@@ -38,12 +38,14 @@ class JsonWriter {
   // Names the next value; valid only inside an object.
   void Key(const std::string& name) {
     Separate();
-    out_ += "\"" + JsonEscape(name) + "\": ";
+    out_.append("\"").append(JsonEscape(name)).append("\": ");
     pending_key_ = true;
   }
 
   void String(const std::string& v) {
-    Scalar("\"" + JsonEscape(v) + "\"");
+    std::string quoted = "\"";
+    quoted.append(JsonEscape(v)).append("\"");
+    Scalar(std::move(quoted));
   }
   void Int(int64_t v) { Scalar(std::to_string(v)); }
   void UInt(uint64_t v) { Scalar(std::to_string(v)); }
@@ -92,7 +94,7 @@ class JsonWriter {
       out_ += ",";
     }
     stack_.back().entries++;
-    out_ += "\n" + Indent();
+    out_.append("\n").append(Indent());
   }
 
   void Place(const std::string& text) {
@@ -119,7 +121,7 @@ class JsonWriter {
     stack_.pop_back();
     // Empty scopes still close on their own line, matching the exporters'
     // long-standing "{\n  }" shape for empty sections.
-    out_ += "\n" + Indent() + scope.close;
+    out_.append("\n").append(Indent()).push_back(scope.close);
   }
 
   int step_;

@@ -212,10 +212,12 @@ std::string JsonEscape(const std::string& s) {
 namespace {
 
 std::string Pad(int indent, int level) {
-  return indent <= 0 ? std::string()
-                     : "\n" + std::string(static_cast<size_t>(indent) *
-                                              static_cast<size_t>(level),
-                                          ' ');
+  std::string pad;
+  if (indent > 0) {
+    pad.append("\n").append(
+        static_cast<size_t>(indent) * static_cast<size_t>(level), ' ');
+  }
+  return pad;
 }
 
 }  // namespace

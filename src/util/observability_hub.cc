@@ -119,9 +119,13 @@ MetricsSnapshot ObservabilityHub::MergedSnapshot() const {
 }
 
 std::string ObservabilityHub::MergedTimelineJson() const {
-  std::string events;
-  AppendPerfettoSpanEvents(spans_, 1, "federation", &events);
-  AppendPerfettoCounterEvents(sampler_, 1, &events);
+  // One string from header to tail. Reserving the last render's size (plus
+  // growth room) makes a render repeated over a run one allocation.
+  std::string doc;
+  doc.reserve(timeline_bytes_ + timeline_bytes_ / 8);
+  BeginPerfettoTrace(&doc);
+  AppendPerfettoSpanEvents(spans_, 1, "federation", &doc);
+  AppendPerfettoCounterEvents(sampler_, 1, &doc);
   int pid = 2;
   for (const Deployment& d : deployments_) {
     // A deployment tracing through a view of the core tracer already
@@ -134,20 +138,23 @@ std::string ObservabilityHub::MergedTimelineJson() const {
       continue;
     }
     if (own_tracer) {
-      AppendPerfettoSpanEvents(*d.spans, pid, d.label, &events);
+      AppendPerfettoSpanEvents(*d.spans, pid, d.label, &doc);
     } else {
       // Counter-only process still wants a readable name.
-      events += "  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " +
-                std::to_string(pid) +
-                ", \"tid\": 0, \"args\": {\"name\": \"" +
-                JsonEscape(d.label) + "\"}},\n";
+      doc.append("  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": ")
+          .append(std::to_string(pid))
+          .append(", \"tid\": 0, \"args\": {\"name\": \"")
+          .append(JsonEscape(d.label))
+          .append("\"}},\n");
     }
     if (own_sampler) {
-      AppendPerfettoCounterEvents(*d.sampler, pid, &events);
+      AppendPerfettoCounterEvents(*d.sampler, pid, &doc);
     }
     ++pid;
   }
-  return PerfettoTraceJson(events);
+  EndPerfettoTrace(&doc);
+  timeline_bytes_ = doc.size();
+  return doc;
 }
 
 }  // namespace hl

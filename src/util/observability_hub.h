@@ -144,6 +144,8 @@ class ObservabilityHub {
   std::vector<SloState> slos_;
   bool hook_installed_ = false;
   SimClock::TickHookId hook_id_ = 0;
+  // Size of the last MergedTimelineJson: the next render's reserve.
+  mutable size_t timeline_bytes_ = 0;
 };
 
 }  // namespace hl

@@ -215,8 +215,11 @@ namespace {
 std::string ArgsJson(const SpanRecord& r) {
   std::string out = "{";
   for (size_t i = 0; i < r.args.size(); ++i) {
-    out += "\"" + JsonEscape(std::string(r.args[i].first)) + "\": \"" +
-           JsonEscape(r.args[i].second) + "\"";
+    out.append("\"")
+        .append(JsonEscape(std::string(r.args[i].first)))
+        .append("\": \"")
+        .append(JsonEscape(r.args[i].second))
+        .append("\"");
     if (i + 1 < r.args.size()) {
       out += ", ";
     }
@@ -283,7 +286,7 @@ std::string RenderSpanForest(const SpanTracer::CompletedView& spans) {
                std::to_string(s->duration_us()) + "us @" +
                std::to_string(s->begin_us);
         for (const auto& [k, v] : s->args) {
-          out += " " + std::string(k) + "=" + v;
+          out.append(" ").append(k).append("=").append(v);
         }
         out += "\n";
         auto it = children.find(s->id);
@@ -307,42 +310,73 @@ void AppendPerfettoSpanEvents(const SpanTracer& spans, int pid,
   for (const SpanRecord& s : spans.Completed()) {
     tids.emplace(s.track, static_cast<int>(tids.size()) + 1);
   }
-  *out += "  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " +
-          std::to_string(pid) + ", \"tid\": 0, \"args\": {\"name\": \"" +
-          JsonEscape(process_name) + "\"}},\n";
+  const std::string pid_text = std::to_string(pid);
+  out->append("  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": ")
+      .append(pid_text)
+      .append(", \"tid\": 0, \"args\": {\"name\": \"")
+      .append(JsonEscape(process_name))
+      .append("\"}},\n");
   for (const auto& [track, tid] : tids) {
-    *out += "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " +
-            std::to_string(pid) + ", \"tid\": " + std::to_string(tid) +
-            ", \"args\": {\"name\": \"" + JsonEscape(std::string(track)) +
-            "\"}},\n";
+    out->append("  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": ")
+        .append(pid_text)
+        .append(", \"tid\": ")
+        .append(std::to_string(tid))
+        .append(", \"args\": {\"name\": \"")
+        .append(JsonEscape(std::string(track)))
+        .append("\"}},\n");
   }
   for (const SpanRecord& s : spans.Completed()) {
-    *out += "  {\"ph\": \"X\", \"name\": \"" + JsonEscape(std::string(s.name)) +
-            "\", \"cat\": \"" + JsonEscape(std::string(s.track)) +
-            "\", \"ts\": " + std::to_string(s.begin_us) +
-            ", \"dur\": " + std::to_string(s.duration_us()) +
-            ", \"pid\": " + std::to_string(pid) +
-            ", \"tid\": " + std::to_string(tids[s.track]) +
-            ", \"args\": {\"span_id\": " + std::to_string(s.id) +
-            ", \"parent\": " + std::to_string(s.parent);
+    out->append("  {\"ph\": \"X\", \"name\": \"")
+        .append(JsonEscape(std::string(s.name)))
+        .append("\", \"cat\": \"")
+        .append(JsonEscape(std::string(s.track)))
+        .append("\", \"ts\": ")
+        .append(std::to_string(s.begin_us))
+        .append(", \"dur\": ")
+        .append(std::to_string(s.duration_us()))
+        .append(", \"pid\": ")
+        .append(pid_text)
+        .append(", \"tid\": ")
+        .append(std::to_string(tids[s.track]))
+        .append(", \"args\": {\"span_id\": ")
+        .append(std::to_string(s.id))
+        .append(", \"parent\": ")
+        .append(std::to_string(s.parent));
     for (const auto& [k, v] : s.args) {
-      *out += ", \"" + JsonEscape(std::string(k)) + "\": \"" + JsonEscape(v) +
-              "\"";
+      out->append(", \"")
+          .append(JsonEscape(std::string(k)))
+          .append("\": \"")
+          .append(JsonEscape(v))
+          .append("\"");
     }
-    *out += "}},\n";
+    out->append("}},\n");
   }
 }
 
-std::string PerfettoTraceJson(const std::string& events) {
-  std::string body = events;
+namespace {
+constexpr std::string_view kPerfettoHead =
+    "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
+}  // namespace
+
+void BeginPerfettoTrace(std::string* out) { out->append(kPerfettoHead); }
+
+void EndPerfettoTrace(std::string* out) {
   // Strip the trailing comma the appenders leave behind.
-  size_t comma = body.find_last_of(',');
-  if (comma != std::string::npos &&
-      body.find_first_not_of(" \n", comma + 1) == std::string::npos) {
-    body.erase(comma, 1);
+  size_t comma = out->find_last_of(',');
+  if (comma != std::string::npos && comma >= kPerfettoHead.size() &&
+      out->find_first_not_of(" \n", comma + 1) == std::string::npos) {
+    out->erase(comma, 1);
   }
-  return "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n" + body +
-         "]}\n";
+  out->append("]}\n");
+}
+
+std::string PerfettoTraceJson(const std::string& events) {
+  std::string doc;
+  doc.reserve(kPerfettoHead.size() + events.size() + 3);
+  BeginPerfettoTrace(&doc);
+  doc.append(events);
+  EndPerfettoTrace(&doc);
+  return doc;
 }
 
 }  // namespace hl

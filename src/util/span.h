@@ -322,9 +322,14 @@ std::string RenderSpanForest(const SpanTracer::CompletedView& spans);
 // thread_name metadata, one thread lane per distinct track, under process
 // `pid`; PerfettoTraceJson wraps accumulated events into the final
 // {"traceEvents": [...]} document chrome://tracing and ui.perfetto.dev load.
+// BeginPerfettoTrace/EndPerfettoTrace build the same document in one string:
+// Begin writes the header into an empty `out`, the appenders add events
+// after it, and End strips their trailing comma and closes the document.
 void AppendPerfettoSpanEvents(const SpanTracer& spans, int pid,
                               const std::string& process_name,
                               std::string* out);
+void BeginPerfettoTrace(std::string* out);
+void EndPerfettoTrace(std::string* out);
 std::string PerfettoTraceJson(const std::string& events);
 
 }  // namespace hl

@@ -93,12 +93,19 @@ std::string TimeSeriesSampler::ToJson() const {
 
 void AppendPerfettoCounterEvents(const TimeSeriesSampler& sampler, int pid,
                                  std::string* out) {
+  const std::string pid_text = std::to_string(pid);
   for (const std::string& name : sampler.SeriesNames()) {
+    const std::string escaped = JsonEscape(name);
     for (const TimeSeriesSampler::Point& p : sampler.Series(name)) {
-      *out += "  {\"ph\": \"C\", \"name\": \"" + JsonEscape(name) +
-              "\", \"ts\": " + std::to_string(p.t_us) +
-              ", \"pid\": " + std::to_string(pid) +
-              ", \"args\": {\"value\": " + std::to_string(p.value) + "}},\n";
+      out->append("  {\"ph\": \"C\", \"name\": \"")
+          .append(escaped)
+          .append("\", \"ts\": ")
+          .append(std::to_string(p.t_us))
+          .append(", \"pid\": ")
+          .append(pid_text)
+          .append(", \"args\": {\"value\": ")
+          .append(std::to_string(p.value))
+          .append("}},\n");
     }
   }
 }

@@ -403,6 +403,28 @@ TEST(FederationObservabilityTest, CrossSiteFailoverIsOneConnectedTree) {
 
 // --- SLO watcher -----------------------------------------------------------
 
+TEST(ObservabilityHubTest, MergedTimelineIsOneDocumentOfItsParts) {
+  SimClock clock;
+  ObservabilityHub hub(&clock);
+  int64_t depth = 0;
+  hub.AddSeries("q", [&] { return depth; });
+  hub.InstallTickHook();
+  for (int i = 0; i < 3; ++i) {
+    depth = i;
+    auto span = hub.spans().Begin("fetch", "stager");
+    clock.Advance(kUsPerSec);
+    hub.spans().End(span);
+  }
+  std::string events;
+  AppendPerfettoSpanEvents(hub.spans(), 1, "federation", &events);
+  AppendPerfettoCounterEvents(hub.timeseries(), 1, &events);
+  ASSERT_NE(events.find("\"ph\": \"C\""), std::string::npos);
+  const std::string expected = PerfettoTraceJson(events);
+  EXPECT_EQ(hub.MergedTimelineJson(), expected);
+  // The second render reserves from the first one's size; same bytes.
+  EXPECT_EQ(hub.MergedTimelineJson(), expected);
+}
+
 TEST(ObservabilityHubTest, SloBreachAndClearFireAtExactSimTimes) {
   SimClock clock;
   ObservabilityHub hub(&clock);  // Default cadence: one sample per sim-second.

@@ -80,7 +80,8 @@ TEST(SpanTracerTest, WindowIsBoundedButTotalIsLifetime) {
   SimClock clock;
   SpanTracer tracer(&clock, 4);
   for (int i = 0; i < 10; ++i) {
-    tracer.End(tracer.Begin("s" + std::to_string(i), "t"));
+    std::string name = "s";
+    tracer.End(tracer.Begin(name.append(std::to_string(i)), "t"));
   }
   EXPECT_EQ(tracer.Completed().size(), 4u);  // Oldest six dropped.
   EXPECT_EQ(tracer.total_spans(), 10u);
@@ -162,6 +163,14 @@ TEST(SpanTracerTest, InterningRoundTripSurvivesRingRecycling) {
   AppendPerfettoSpanEvents(tracer2, 1, "engine", &ev2);
   EXPECT_EQ(ev1, ev2);
   EXPECT_EQ(PerfettoTraceJson(ev1), PerfettoTraceJson(ev2));
+}
+
+TEST(PerfettoExportTest, DocumentStripsOnlyTheTrailingComma) {
+  const std::string head =
+      "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
+  EXPECT_EQ(PerfettoTraceJson(""), head + "]}\n");
+  EXPECT_EQ(PerfettoTraceJson("  {\"a\": 1},\n  {\"b\": 2},\n"),
+            head + "  {\"a\": 1},\n  {\"b\": 2}\n]}\n");
 }
 
 // --- Span trees under injected faults -----------------------------------
