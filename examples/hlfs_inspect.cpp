@@ -474,7 +474,7 @@ int main(int argc, char** argv) {
             "enqueue demand read");
     }
     if (!fetchable.empty()) {
-      auto image = std::make_shared<std::vector<uint8_t>>(io.SegBytes());
+      auto image = std::make_shared<MediaImage>();
       Check(io.EnqueuePrefetchRead(fetchable.back(), kNoSegment, image,
                                    [](const Status&, SimTime) {}),
             "enqueue prefetch read");

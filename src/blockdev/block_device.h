@@ -8,9 +8,9 @@
 #define HIGHLIGHT_BLOCKDEV_BLOCK_DEVICE_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 
+#include "util/media_image.h"
 #include "util/status.h"
 
 namespace hl {
@@ -29,13 +29,13 @@ class BlockDevice {
   virtual const std::string& Name() const = 0;
 
   // Reads `count` consecutive blocks starting at `block`. `out` must be
-  // exactly count * kBlockSize bytes.
-  virtual Status ReadBlocks(uint32_t block, uint32_t count,
-                            std::span<uint8_t> out) = 0;
+  // exactly count * kBlockSize bytes: caller memory, or a transfer image
+  // that takes the blocks by sharing the medium's chunks.
+  virtual Status ReadBlocks(uint32_t block, uint32_t count, ByteSink out) = 0;
 
   // Writes `count` consecutive blocks starting at `block`.
   virtual Status WriteBlocks(uint32_t block, uint32_t count,
-                             std::span<const uint8_t> data) = 0;
+                             ByteSource data) = 0;
 
   // Flushes any volatile state (a no-op for the simulated devices, but part
   // of the contract mount code relies on).

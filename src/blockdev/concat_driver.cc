@@ -47,8 +47,7 @@ Result<std::vector<ConcatDriver::Extent>> ConcatDriver::Split(
   return extents;
 }
 
-Status ConcatDriver::ReadBlocks(uint32_t block, uint32_t count,
-                                std::span<uint8_t> out) {
+Status ConcatDriver::ReadBlocks(uint32_t block, uint32_t count, ByteSink out) {
   if (out.size() != static_cast<size_t>(count) * kBlockSize) {
     return InvalidArgument(name_ + ": read buffer size mismatch");
   }
@@ -64,7 +63,7 @@ Status ConcatDriver::ReadBlocks(uint32_t block, uint32_t count,
 }
 
 Status ConcatDriver::WriteBlocks(uint32_t block, uint32_t count,
-                                 std::span<const uint8_t> data) {
+                                 ByteSource data) {
   if (data.size() != static_cast<size_t>(count) * kBlockSize) {
     return InvalidArgument(name_ + ": write buffer size mismatch");
   }

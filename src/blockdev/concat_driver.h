@@ -24,10 +24,8 @@ class ConcatDriver : public BlockDevice {
   uint32_t NumBlocks() const override { return total_blocks_; }
   const std::string& Name() const override { return name_; }
 
-  Status ReadBlocks(uint32_t block, uint32_t count,
-                    std::span<uint8_t> out) override;
-  Status WriteBlocks(uint32_t block, uint32_t count,
-                     std::span<const uint8_t> data) override;
+  Status ReadBlocks(uint32_t block, uint32_t count, ByteSink out) override;
+  Status WriteBlocks(uint32_t block, uint32_t count, ByteSource data) override;
   Status Flush() override;
 
   // On-line growth: appends a component at the top of the address space

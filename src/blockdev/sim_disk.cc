@@ -62,8 +62,7 @@ SimTime SimDisk::ServiceTime(uint64_t byte_offset, uint64_t bytes,
 }
 
 Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
-                                        uint32_t count,
-                                        std::span<uint8_t> out) {
+                                        uint32_t count, ByteSink out) {
   RETURN_IF_ERROR(CheckRange(block, count));
   if (out.size() != static_cast<size_t>(count) * kBlockSize) {
     return InvalidArgument(name_ + ": read buffer size mismatch");
@@ -84,7 +83,7 @@ Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
     return IoError(name_ + ": injected read failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  data_.Read(offset, out);
+  out.FillFrom(data_, offset);
   if (faults_ != nullptr) {
     faults_->MaybeCorruptRead(out, offset);
   }
@@ -97,8 +96,7 @@ Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
 }
 
 Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
-                                         uint32_t count,
-                                         std::span<const uint8_t> data) {
+                                         uint32_t count, ByteSource data) {
   RETURN_IF_ERROR(CheckRange(block, count));
   if (data.size() != static_cast<size_t>(count) * kBlockSize) {
     return InvalidArgument(name_ + ": write buffer size mismatch");
@@ -119,7 +117,7 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
     return IoError(name_ + ": injected write failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  data_.Write(offset, data);
+  data.StoreTo(data_, offset);
   if (faults_ != nullptr) {
     faults_->NoteWrite(offset, data.size());
   }
@@ -131,15 +129,13 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
   return end;
 }
 
-Status SimDisk::ReadBlocks(uint32_t block, uint32_t count,
-                           std::span<uint8_t> out) {
+Status SimDisk::ReadBlocks(uint32_t block, uint32_t count, ByteSink out) {
   ASSIGN_OR_RETURN(SimTime end, ScheduleReadAt(clock_->Now(), block, count, out));
   clock_->AdvanceTo(end);
   return OkStatus();
 }
 
-Status SimDisk::WriteBlocks(uint32_t block, uint32_t count,
-                            std::span<const uint8_t> data) {
+Status SimDisk::WriteBlocks(uint32_t block, uint32_t count, ByteSource data) {
   ASSIGN_OR_RETURN(SimTime end,
                    ScheduleWriteAt(clock_->Now(), block, count, data));
   clock_->AdvanceTo(end);

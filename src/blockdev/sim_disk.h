@@ -41,19 +41,16 @@ class SimDisk : public BlockDevice {
   uint32_t NumBlocks() const override { return num_blocks_; }
   const std::string& Name() const override { return name_; }
 
-  Status ReadBlocks(uint32_t block, uint32_t count,
-                    std::span<uint8_t> out) override;
-  Status WriteBlocks(uint32_t block, uint32_t count,
-                     std::span<const uint8_t> data) override;
+  Status ReadBlocks(uint32_t block, uint32_t count, ByteSink out) override;
+  Status WriteBlocks(uint32_t block, uint32_t count, ByteSource data) override;
 
   // Async variants: data moves now, device time is reserved from
   // max(earliest, device free) and the completion time is returned. The
   // caller is responsible for advancing the clock when it decides to wait.
   Result<SimTime> ScheduleReadAt(SimTime earliest, uint32_t block,
-                                 uint32_t count, std::span<uint8_t> out);
+                                 uint32_t count, ByteSink out);
   Result<SimTime> ScheduleWriteAt(SimTime earliest, uint32_t block,
-                                  uint32_t count,
-                                  std::span<const uint8_t> data);
+                                  uint32_t count, ByteSource data);
 
   // Fault injection for robustness tests: fail the next `n` operations.
   // A thin shim over the fault channel when one is attached.
@@ -83,6 +80,8 @@ class SimDisk : public BlockDevice {
   uint64_t seeks() const { return seeks_; }
   SimTime busy_time() const { return spindle_.busy_total(); }
   const DiskProfile& profile() const { return profile_; }
+  // The platters' bytes; a test probe for chunk sharing.
+  const MediaImage& image() const { return data_; }
 
  private:
   Status CheckRange(uint32_t block, uint32_t count) const;

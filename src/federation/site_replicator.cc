@@ -203,14 +203,13 @@ Status SiteReplicator::ShipImage(int src, int dst, uint32_t tseg,
   span.Annotate("dst", sites_[dst].name);
   span.Annotate("tseg", std::to_string(tseg));
   Status last = OkStatus();
-  const BufferPool::Buffer copy = ship_buffers_.Acquire(image.size());
-  std::vector<uint8_t>& payload = *copy;
+  std::vector<uint8_t>& payload = ship_payload_;
   for (int try_no = 1; try_no <= config_.retry.max_attempts; ++try_no) {
     if (try_no > 1) {
       clock_->Advance(config_.retry.BackoffFor(try_no - 1));
     }
     // Fresh copy per attempt: a corrupted delivery must not poison retries.
-    std::copy(image.begin(), image.end(), payload.begin());
+    payload.assign(image.begin(), image.end());
     last = link->Transfer(payload);
     if (!last.ok()) {
       stats_.ship_failures++;

@@ -48,7 +48,6 @@
 
 #include "highlight/fetch_backend.h"
 #include "sim/sim_clock.h"
-#include "util/buffer_pool.h"
 #include "util/fault_injector.h"
 #include "util/metrics.h"
 #include "util/span.h"
@@ -233,7 +232,9 @@ class SiteReplicator : public StagerScheduler::SiteHealthProvider {
   std::vector<Site> sites_;
   std::map<std::pair<int, int>, WanLink*> links_;  // Key: (min, max).
   std::map<std::pair<int, int>, uint32_t> ae_cursor_;  // Resume points.
-  BufferPool ship_buffers_;  // Per-ship WAN payload copies.
+  // The WAN payload of the ship in progress: a fresh copy of the image per
+  // attempt, in one buffer reused across ships.
+  std::vector<uint8_t> ship_payload_;
 
   MetricsRegistry metrics_;
   Stats stats_;

@@ -3,6 +3,16 @@
 #include "util/logging.h"
 
 namespace hl {
+namespace {
+
+// Blocks [first, first + count) of a read sink or write source.
+template <typename Bytes>
+Bytes Slice(const Bytes& bytes, uint32_t first, uint32_t count) {
+  return bytes.subspan(static_cast<uint64_t>(first) * kBlockSize,
+                       static_cast<uint64_t>(count) * kBlockSize);
+}
+
+}  // namespace
 
 Result<uint32_t> BlockMapDriver::ResolveTertiary(uint32_t daddr,
                                                  bool for_write) {
@@ -50,7 +60,7 @@ void BlockMapDriver::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
 }
 
 Status BlockMapDriver::ReadBlocks(uint32_t block, uint32_t count,
-                                  std::span<uint8_t> out) {
+                                  ByteSink out) {
   if (out.size() != static_cast<size_t>(count) * kBlockSize) {
     return InvalidArgument("blockmap: read buffer size mismatch");
   }
@@ -58,16 +68,12 @@ Status BlockMapDriver::ReadBlocks(uint32_t block, uint32_t count,
   while (done < count) {
     uint32_t cur = block + done;
     uint32_t remaining = count - done;
-    std::span<uint8_t> slice(
-        out.data() + static_cast<size_t>(done) * kBlockSize, 0);
     switch (amap_->Classify(cur)) {
       case AddressMap::Zone::kDisk: {
         // Clip the run at the disk/tertiary boundary.
         uint32_t take =
             std::min<uint32_t>(remaining, amap_->disk_blocks() - cur);
-        slice = std::span<uint8_t>(slice.data(),
-                                   static_cast<size_t>(take) * kBlockSize);
-        RETURN_IF_ERROR(disk_->ReadBlocks(cur, take, slice));
+        RETURN_IF_ERROR(disk_->ReadBlocks(cur, take, Slice(out, done, take)));
         stats_.disk_reads++;
         done += take;
         break;
@@ -79,9 +85,8 @@ Status BlockMapDriver::ReadBlocks(uint32_t block, uint32_t count,
             std::min<uint32_t>(remaining, seg_size_blocks_ - in_seg);
         ASSIGN_OR_RETURN(uint32_t disk_addr,
                          ResolveTertiary(cur, /*for_write=*/false));
-        slice = std::span<uint8_t>(slice.data(),
-                                   static_cast<size_t>(take) * kBlockSize);
-        RETURN_IF_ERROR(disk_->ReadBlocks(disk_addr, take, slice));
+        RETURN_IF_ERROR(
+            disk_->ReadBlocks(disk_addr, take, Slice(out, done, take)));
         stats_.tertiary_reads++;
         done += take;
         break;
@@ -96,7 +101,7 @@ Status BlockMapDriver::ReadBlocks(uint32_t block, uint32_t count,
 }
 
 Status BlockMapDriver::WriteBlocks(uint32_t block, uint32_t count,
-                                   std::span<const uint8_t> data) {
+                                   ByteSource data) {
   if (data.size() != static_cast<size_t>(count) * kBlockSize) {
     return InvalidArgument("blockmap: write buffer size mismatch");
   }
@@ -104,15 +109,11 @@ Status BlockMapDriver::WriteBlocks(uint32_t block, uint32_t count,
   while (done < count) {
     uint32_t cur = block + done;
     uint32_t remaining = count - done;
-    const uint8_t* src = data.data() + static_cast<size_t>(done) * kBlockSize;
     switch (amap_->Classify(cur)) {
       case AddressMap::Zone::kDisk: {
         uint32_t take =
             std::min<uint32_t>(remaining, amap_->disk_blocks() - cur);
-        RETURN_IF_ERROR(disk_->WriteBlocks(
-            cur, take,
-            std::span<const uint8_t>(src,
-                                     static_cast<size_t>(take) * kBlockSize)));
+        RETURN_IF_ERROR(disk_->WriteBlocks(cur, take, Slice(data, done, take)));
         done += take;
         break;
       }
@@ -122,10 +123,8 @@ Status BlockMapDriver::WriteBlocks(uint32_t block, uint32_t count,
             std::min<uint32_t>(remaining, seg_size_blocks_ - in_seg);
         ASSIGN_OR_RETURN(uint32_t disk_addr,
                          ResolveTertiary(cur, /*for_write=*/true));
-        RETURN_IF_ERROR(disk_->WriteBlocks(
-            disk_addr, take,
-            std::span<const uint8_t>(src,
-                                     static_cast<size_t>(take) * kBlockSize)));
+        RETURN_IF_ERROR(
+            disk_->WriteBlocks(disk_addr, take, Slice(data, done, take)));
         stats_.staging_writes++;
         done += take;
         break;

@@ -299,8 +299,7 @@ Status HighLightFs::WireFsComponents() {
   tertiary_cleaner_->AttachMetrics(&metrics_, tracer);
 
   scrubber_ = std::make_unique<Scrubber>(footprint_.get(), tsegs_.get(),
-                                         amap_.get(), clock_,
-                                         &io_server_->buffers());
+                                         amap_.get(), clock_);
   scrubber_->SetHealth(health_.get());
   scrubber_->set_retry_policy(retry_policy_);
   scrubber_->AttachMetrics(&metrics_, tracer);
@@ -510,11 +509,19 @@ Result<std::vector<uint8_t>> HighLightFs::ReadSegmentImage(uint32_t tseg) {
   if (tseg >= tsegs_->size()) {
     return InvalidArgument("ReadSegmentImage: tseg out of range");
   }
-  std::vector<uint8_t> image(amap_->SegBytes());
+  // The read shares the volume's chunks; the returned vector is the one
+  // copy, appended run by run without zero-filling it first.
+  const uint64_t seg_bytes = amap_->SegBytes();
+  MediaImage image;
   RETURN_IF_ERROR(footprint_->Read(
       static_cast<int>(amap_->VolumeOfTseg(tseg)),
-      amap_->ByteOffsetOnVolume(tseg), std::span<uint8_t>(image)));
-  return image;
+      amap_->ByteOffsetOnVolume(tseg), ByteSink(image, seg_bytes)));
+  std::vector<uint8_t> bytes;
+  bytes.reserve(seg_bytes);
+  image.ForEachRun(0, seg_bytes, [&](std::span<const uint8_t> run) {
+    bytes.insert(bytes.end(), run.begin(), run.end());
+  });
+  return bytes;
 }
 
 Status HighLightFs::InstallSegmentImage(uint32_t tseg,
@@ -686,8 +693,6 @@ void HighLightFs::RefreshDerivedGauges() {
       .Set(static_cast<int64_t>(spans_->window_bytes()));
   metrics_.gauge("engine.buffer_arena_bytes")
       .Set(static_cast<int64_t>(fs_->buffer_cache().arena_bytes()));
-  metrics_.gauge("engine.transfer_buffers_allocated")
-      .Set(static_cast<int64_t>(io_server_->buffers().allocations()));
 }
 
 MetricsSnapshot HighLightFs::Metrics() {

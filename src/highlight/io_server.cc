@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace hl {
@@ -127,13 +126,13 @@ Status IoServer::RetrySync(uint32_t tseg, uint32_t volume,
   return s;
 }
 
-Status IoServer::VerifyCrc(uint32_t source, std::span<const uint8_t> buf,
+Status IoServer::VerifyCrc(uint32_t source, const MediaImage& image,
                            uint32_t volume) {
   uint32_t expect = 0;
   if (!crc_lookup_ || !crc_lookup_(source, &expect)) {
     return OkStatus();
   }
-  if (Crc32(buf) == expect) {
+  if (image.Crc32(0, amap_->SegBytes()) == expect) {
     stats_.crc_verified++;
     return OkStatus();
   }
@@ -143,15 +142,16 @@ Status IoServer::VerifyCrc(uint32_t source, std::span<const uint8_t> buf,
                     ": CRC mismatch on fetched image");
 }
 
-Status IoServer::ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf) {
+Status IoServer::ReadTertiaryCopy(uint32_t source, MediaImage& image) {
   const uint32_t volume = amap_->VolumeOfTseg(source);
   const uint64_t offset = amap_->ByteOffsetOnVolume(source);
   return RetrySync(source, volume, [&]() {
     SimTime t0 = clock_->Now();
-    Status s = footprint_->Read(static_cast<int>(volume), offset, buf);
+    Status s = footprint_->Read(static_cast<int>(volume), offset,
+                                SegmentSink(image));
     phases_.Add(phase_footprint_, clock_->Now() - t0);
     if (s.ok()) {
-      s = VerifyCrc(source, buf, volume);
+      s = VerifyCrc(source, image, volume);
     }
     return s;
   });
@@ -159,8 +159,7 @@ Status IoServer::ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf) {
 
 Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
   const uint64_t seg_bytes = amap_->SegBytes();
-  const BufferPool::Buffer image = AcquireSegmentBuffer();
-  std::vector<uint8_t>& buf = *image;
+  MediaImage image;
 
   SpanScope fetch(spans_, "fetch", "io");
   fetch.Annotate("tseg", std::to_string(tseg));
@@ -178,7 +177,7 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
       failover = SpanScope(spans_, "failover", "io");
       failover.Annotate("source", std::to_string(candidates[i]));
     }
-    last = ReadTertiaryCopy(candidates[i], buf);
+    last = ReadTertiaryCopy(candidates[i], image);
     if (last.ok()) {
       served_from = candidates[i];
       got = true;
@@ -193,15 +192,16 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
     fetch.Annotate("served_from", std::to_string(served_from));
   }
 
-  // Memory copy out of the transfer buffer, then a raw write to the cache
-  // line (the paper's extra-copies path).
+  // Memory copy out of the transfer image, then a raw write to the cache
+  // line (the paper's extra-copies path; the host shares the chunks).
   SpanScope install(spans_, "install", "io");
   install.Annotate("disk_seg", std::to_string(disk_seg));
   SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
   clock_->Advance(copy);
   SimTime t0 = clock_->Now();
   RETURN_IF_ERROR(raw_disk_->WriteBlocks(DiskSegFirstBlock(disk_seg),
-                                         seg_size_blocks_, buf));
+                                         seg_size_blocks_,
+                                         SegmentSource(image)));
   phases_.Add(phase_ioserver_, clock_->Now() - t0 + copy);
   install = SpanScope();  // Close before the fetch-level bookkeeping.
 
@@ -214,14 +214,13 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
 
 Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
   const uint64_t seg_bytes = amap_->SegBytes();
-  const BufferPool::Buffer image = AcquireSegmentBuffer();
-  std::vector<uint8_t>& buf = *image;
+  MediaImage image;
 
   SpanScope span(spans_, "copyout", "io");
   span.Annotate("tseg", std::to_string(tseg));
   SimTime t0 = clock_->Now();
   RETURN_IF_ERROR(raw_disk_->ReadBlocks(DiskSegFirstBlock(disk_seg),
-                                        seg_size_blocks_, buf));
+                                        seg_size_blocks_, SegmentSink(image)));
   SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
   clock_->Advance(copy);
   phases_.Add(phase_ioserver_, clock_->Now() - t0);
@@ -230,7 +229,7 @@ Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
   uint64_t offset = amap_->ByteOffsetOnVolume(tseg);
   Status write = RetrySync(tseg, volume, [&]() {
     SimTime w0 = clock_->Now();
-    Status s = footprint_->Write(volume, offset, buf);
+    Status s = footprint_->Write(volume, offset, SegmentSource(image));
     phases_.Add(phase_footprint_, clock_->Now() - w0);
     return s;
   });
@@ -241,7 +240,7 @@ Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
   }
   RETURN_IF_ERROR(write);
   if (crc_store_) {
-    crc_store_(tseg, Crc32(buf));
+    crc_store_(tseg, image.Crc32(0, seg_bytes));
   }
 
   stats_.segments_copied_out++;
@@ -425,8 +424,7 @@ Status IoServer::Deliver(PendingOp& op, const Status& s) {
 Status IoServer::IssueOne(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
-  const BufferPool::Buffer image = AcquireSegmentBuffer();
-  std::vector<uint8_t>& buf = *image;
+  MediaImage image;
 
   // The issue-time span is a child of the *enqueue-time* context, not of
   // whatever span happens to be open now (often a later drain): causality
@@ -442,7 +440,7 @@ Status IoServer::IssueOne(PendingOp& op) {
   const SimTime issue_start = clock_->Now();
   SimTime t0 = clock_->Now();
   Status read = raw_disk_->ReadBlocks(DiskSegFirstBlock(op.disk_seg),
-                                      seg_size_blocks_, buf);
+                                      seg_size_blocks_, SegmentSink(image));
   if (!read.ok()) {
     return Deliver(op, read);
   }
@@ -458,7 +456,7 @@ Status IoServer::IssueOne(PendingOp& op) {
   t0 = clock_->Now();
   SimTime earliest = clock_->Now();
   Result<SimTime> end = footprint_->ScheduleWrite(
-      earliest, static_cast<int>(volume), offset, buf);
+      earliest, static_cast<int>(volume), offset, SegmentSource(image));
   // Pipeline retries delay the reissued op's start instead of stalling the
   // caller: the device sits out the backoff, the migrator keeps staging.
   for (int try_no = 1;
@@ -480,7 +478,7 @@ Status IoServer::IssueOne(PendingOp& op) {
     }
     earliest += backoff;
     end = footprint_->ScheduleWrite(earliest, static_cast<int>(volume),
-                                    offset, buf);
+                                    offset, SegmentSource(image));
   }
   if (!end.ok()) {
     if (end.status().code() == ErrorCode::kEndOfMedium) {
@@ -495,7 +493,7 @@ Status IoServer::IssueOne(PendingOp& op) {
     health_->RecordVolumeSuccess(volume);
   }
   if (crc_store_) {
-    crc_store_(op.tseg, Crc32(buf));
+    crc_store_(op.tseg, image.Crc32(0, seg_bytes));
   }
   if (spans_ != nullptr) {
     spans_->AddComplete("tertiary_write", "tertiary", issue.id(), earliest,
@@ -544,7 +542,7 @@ size_t IoServer::Outstanding() const {
   return n;
 }
 
-Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
+Status IoServer::SchedulePrefetch(uint32_t tseg, MediaImage& image,
                                   PrefetchDone done) {
   SpanScope span(spans_, "prefetch_read", "io");
   span.Annotate("tseg", std::to_string(tseg));
@@ -553,7 +551,7 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   uint64_t offset = amap_->ByteOffsetOnVolume(source);
   SimTime t0 = clock_->Now();
   Result<SimTime> end = footprint_->ScheduleRead(
-      clock_->Now(), static_cast<int>(volume), offset, buf);
+      clock_->Now(), static_cast<int>(volume), offset, SegmentSink(image));
   if (!end.ok()) {
     if (done) {
       done(end.status(), 0);
@@ -563,7 +561,7 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   // The data moved synchronously even though device time completes later,
   // so the image can be verified now; a corrupted prefetch is dropped here
   // rather than poisoning a cache line at install time.
-  Status crc = VerifyCrc(source, buf, volume);
+  Status crc = VerifyCrc(source, image, volume);
   if (!crc.ok()) {
     if (health_ != nullptr) {
       health_->RecordVolumeFailure(volume);
@@ -585,8 +583,7 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   return OkStatus();
 }
 
-Status IoServer::InstallSegment(uint32_t disk_seg,
-                                std::span<const uint8_t> bytes) {
+Status IoServer::InstallSegment(uint32_t disk_seg, const MediaImage& image) {
   SpanScope span(spans_, "install", "io");
   span.Annotate("disk_seg", std::to_string(disk_seg));
   const uint64_t seg_bytes = amap_->SegBytes();
@@ -594,7 +591,8 @@ Status IoServer::InstallSegment(uint32_t disk_seg,
   clock_->Advance(copy);
   SimTime t0 = clock_->Now();
   RETURN_IF_ERROR(raw_disk_->WriteBlocks(DiskSegFirstBlock(disk_seg),
-                                         seg_size_blocks_, bytes));
+                                         seg_size_blocks_,
+                                         SegmentSource(image)));
   phases_.Add(phase_ioserver_, clock_->Now() - t0 + copy);
   stats_.segments_fetched++;
   stats_.bytes_fetched += seg_bytes;
@@ -680,7 +678,7 @@ Status IoServer::EnqueueDemandRead(uint32_t tseg, uint32_t install_seg,
 }
 
 Status IoServer::EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
-                                     std::shared_ptr<std::vector<uint8_t>> image,
+                                     std::shared_ptr<MediaImage> image,
                                      ReadDone done) {
   if (!async_reads_) {
     return Internal("prefetch-read queue requires async_read_pipeline");
@@ -782,7 +780,7 @@ Status IoServer::DeliverRead(PendingOp& op, const Status& s,
   return OkStatus();  // The callbacks own the error now.
 }
 
-Status IoServer::ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
+Status IoServer::ScheduleTertiaryCopy(uint32_t source, MediaImage& image,
                                       uint64_t parent_span,
                                       SimTime* end_out) {
   const uint32_t volume = amap_->VolumeOfTseg(source);
@@ -806,11 +804,11 @@ Status IoServer::ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
       earliest += backoff;
     }
     Result<SimTime> end = footprint_->ScheduleRead(
-        earliest, static_cast<int>(volume), offset, buf);
+        earliest, static_cast<int>(volume), offset, SegmentSink(image));
     // Data moves synchronously even though device time completes later, so
     // the image can be CRC-checked now; a corrupt read retries like an I/O
     // error.
-    s = end.ok() ? VerifyCrc(source, buf, volume) : end.status();
+    s = end.ok() ? VerifyCrc(source, image, volume) : end.status();
     if (health_ != nullptr) {
       if (s.ok()) {
         health_->RecordVolumeSuccess(volume);
@@ -838,10 +836,9 @@ Status IoServer::IssueRead(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
   if (!op.image) {
-    // Back to the pool when the op dies, unless a waiter kept a reference.
-    op.image = AcquireSegmentBuffer();
+    // Dies with the op, unless a waiter kept a reference.
+    op.image = std::make_shared<MediaImage>();
   }
-  std::span<uint8_t> buf(op.image->data(), op.image->size());
   const bool demand = op.kind == OpKind::kDemandRead;
 
   SpanScope issue(spans_, op.ctx.span,
@@ -863,7 +860,8 @@ Status IoServer::IssueRead(PendingOp& op) {
       failover = SpanScope(spans_, "failover", "io");
       failover.Annotate("source", std::to_string(candidates[i]));
     }
-    last = ScheduleTertiaryCopy(candidates[i], buf, issue.id(), &end_time);
+    last = ScheduleTertiaryCopy(candidates[i], *op.image, issue.id(),
+                                &end_time);
     if (last.ok()) {
       served_from = candidates[i];
       got = true;
@@ -889,7 +887,8 @@ Status IoServer::IssueRead(PendingOp& op) {
     clock_->Advance(copy);
     const SimTime t0 = clock_->Now();
     Status wrote = raw_disk_->WriteBlocks(DiskSegFirstBlock(op.disk_seg),
-                                          seg_size_blocks_, *op.image);
+                                          seg_size_blocks_,
+                                          SegmentSource(*op.image));
     if (!wrote.ok()) {
       return DeliverRead(op, wrote, 0);
     }

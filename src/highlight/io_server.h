@@ -38,9 +38,9 @@
 #include "lfs/format.h"
 #include "sim/sim_clock.h"
 #include "tertiary/footprint.h"
-#include "util/buffer_pool.h"
 #include "util/fault_injector.h"
 #include "util/health.h"
+#include "util/media_image.h"
 #include "util/metrics.h"
 #include "util/span.h"
 #include "util/status.h"
@@ -114,13 +114,13 @@ class IoServer {
   Status EnqueueReplicaWrite(uint32_t tseg, uint32_t disk_seg,
                              Completion done);
 
-  // Read-ahead: issues an asynchronous tertiary read of `tseg` into `buf`
-  // (which must outlive the call; data moves now, device time completes at
-  // the returned instant). `done(status, ready_at)` runs within this call.
+  // Read-ahead: issues an asynchronous tertiary read of `tseg` into the
+  // transfer image `image` (data moves now, device time completes at the
+  // returned instant). `done(status, ready_at)` runs within this call.
   // Prefetches are issued immediately — reads are latency-sensitive — and do
   // not count against the write queue depth.
   using PrefetchDone = std::function<void(Status, SimTime ready_at)>;
-  Status SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
+  Status SchedulePrefetch(uint32_t tseg, MediaImage& image,
                           PrefetchDone done);
 
   // --- Asynchronous read pipeline ------------------------------------------
@@ -153,7 +153,7 @@ class IoServer {
   // they wait in the queue until a demand issue or drain sweeps them up,
   // which is what lets them ride a mounted volume for free.
   Status EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
-                             std::shared_ptr<std::vector<uint8_t>> image,
+                             std::shared_ptr<MediaImage> image,
                              ReadDone done);
 
   // True while a read op for `tseg` sits in the queue (not yet issued).
@@ -187,9 +187,10 @@ class IoServer {
   };
   std::vector<QueuedOpView> PendingOps() const;
 
-  // Copies a previously prefetched segment image into cache line `disk_seg`
-  // (memory copy + raw disk write), charging the usual I/O-server costs.
-  Status InstallSegment(uint32_t disk_seg, std::span<const uint8_t> bytes);
+  // Installs a previously prefetched segment image into cache line
+  // `disk_seg`, charging the usual I/O-server costs (memory copy + raw disk
+  // write).
+  Status InstallSegment(uint32_t disk_seg, const MediaImage& image);
 
   // Completion barrier: issues every queued operation (running completion
   // callbacks, which may enqueue more) and advances the clock past the last
@@ -207,14 +208,6 @@ class IoServer {
   void set_max_queue_depth(size_t depth);
   size_t max_queue_depth() const { return max_queue_depth_; }
   SimTime pipeline_busy_until() const { return pipeline_busy_until_; }
-
-  // The pool every segment-sized transfer image comes from: this server's
-  // fetches, copy-outs and queued reads, plus the read-ahead images and
-  // scrub reads of the components wired to it.
-  BufferPool& buffers() { return buffers_; }
-  BufferPool::Buffer AcquireSegmentBuffer() {
-    return buffers_.Acquire(amap_->SegBytes());
-  }
 
   PhaseAccumulator& phases() { return phases_; }
   // Interned handles for the Table-4 phases: hot paths attribute time via
@@ -268,6 +261,8 @@ class IoServer {
 
   // Extra per-byte CPU cost of the user-space staging copies (tertiary <->
   // memory <-> raw disk). Default models a ~10 MB/s memcpy on the testbed.
+  // Charged in simulated time even though the host shares chunks instead
+  // of copying: the paper's I/O server did copy.
   void set_cpu_copy_us_per_mb(SimTime us) { cpu_copy_us_per_mb_ = us; }
 
  private:
@@ -281,9 +276,9 @@ class IoServer {
     uint32_t tseg = kNoSegment;
     uint32_t disk_seg = kNoSegment;
     Completion done;
-    // Read ops: transfer buffer (from the pool at issue, or a read-ahead's
-    // shared image) and the waiters a coalesced transfer fans out to.
-    BufferPool::Buffer image{};
+    // Read ops: transfer image (made at issue, or a read-ahead's shared
+    // image) and the waiters a coalesced transfer fans out to.
+    std::shared_ptr<MediaImage> image{};
     std::vector<ReadDone> readers{};
     // Enqueue-time span context; the issue-time span is begun under it so
     // write-behind work stays causally attached to whoever queued it.
@@ -303,15 +298,23 @@ class IoServer {
   uint32_t PickSource(uint32_t tseg);
   // One source's read with retry/backoff, health recording and CRC
   // verification of the fetched image.
-  Status ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf);
+  Status ReadTertiaryCopy(uint32_t source, MediaImage& image);
   // Runs `attempt` (a sync op advancing the clock itself) up to
   // retry_.max_attempts times, charging backoff to the clock between tries
   // and recording per-volume outcomes.
   Status RetrySync(uint32_t tseg, uint32_t volume,
                    const std::function<Status()>& attempt);
-  // Checks `buf` against the recorded CRC of `source` (ok when none known).
-  Status VerifyCrc(uint32_t source, std::span<const uint8_t> buf,
-                   uint32_t volume);
+  // Checks `image` against the recorded CRC of `source` (ok when none
+  // known), folding the CRC over its chunks in place.
+  Status VerifyCrc(uint32_t source, const MediaImage& image, uint32_t volume);
+  // A whole segment of a transfer image, as a device read's sink or a
+  // device write's source.
+  ByteSink SegmentSink(MediaImage& image) const {
+    return ByteSink(image, amap_->SegBytes());
+  }
+  ByteSource SegmentSource(const MediaImage& image) const {
+    return ByteSource(image, amap_->SegBytes());
+  }
   Status Enqueue(PendingOp op);
   Status EnqueueRead(PendingOp op);
   // Issues queued ops while the device window has room.
@@ -332,7 +335,7 @@ class IoServer {
   Status IssueRead(PendingOp& op);
   // Async analog of ReadTertiaryCopy: reserves device time from now, moves
   // the data immediately, returns the device completion via `end_out`.
-  Status ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
+  Status ScheduleTertiaryCopy(uint32_t source, MediaImage& image,
                               uint64_t parent_span, SimTime* end_out);
   // Routes `s` to the op's completion callback if it has one, else returns
   // it to the issuing caller.
@@ -360,7 +363,6 @@ class IoServer {
   HealthRegistry* health_ = nullptr;
   CrcLookup crc_lookup_;
   CrcStore crc_store_;
-  BufferPool buffers_;
   PhaseAccumulator phases_;
   // Interned once here; "footprint"/"ioserver"/"queuing" sort in the same
   // order the old string-keyed map iterated, keeping export output stable.

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "lfs/lfs.h"
-#include "util/crc32.h"
 
 namespace hl {
 
@@ -20,7 +19,7 @@ void Scrubber::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
   stats_.crcs_restamped.BindTo(*registry, "scrub.crcs_restamped");
 }
 
-Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf) {
+Status Scrubber::ReadWithRetry(uint32_t tseg, MediaImage& image) {
   const uint32_t volume = amap_->VolumeOfTseg(tseg);
   const uint64_t offset = amap_->ByteOffsetOnVolume(tseg);
   Status s = OkStatus();
@@ -30,7 +29,8 @@ Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf) {
                      static_cast<uint64_t>(try_no - 1));
       clock_->Advance(retry_.BackoffFor(try_no - 1));
     }
-    s = footprint_->Read(static_cast<int>(volume), offset, buf);
+    s = footprint_->Read(static_cast<int>(volume), offset,
+                         ByteSink(image, amap_->SegBytes()));
     if (s.ok() || s.code() != ErrorCode::kIoError) {
       return s;
     }
@@ -38,11 +38,12 @@ Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf) {
   return s;
 }
 
-std::optional<uint32_t> Scrubber::VerifyImage(
-    uint32_t tseg, std::span<const uint8_t> image) const {
+std::optional<uint32_t> Scrubber::VerifyImage(uint32_t tseg,
+                                              const MediaImage& image) const {
+  const uint64_t seg_bytes = amap_->SegBytes();
   uint32_t expect = 0;
   if (tsegs_->CrcOf(tseg, &expect)) {
-    if (Crc32(image) != expect) {
+    if (image.Crc32(0, seg_bytes) != expect) {
       return std::nullopt;
     }
     return expect;
@@ -52,13 +53,14 @@ std::optional<uint32_t> Scrubber::VerifyImage(
   // primary's addresses, so parse against the primary's base.
   const uint32_t base_tseg =
       tsegs_->IsReplica(tseg) ? tsegs_->Get(tseg).cache_tseg : tseg;
-  const uint32_t spb =
-      static_cast<uint32_t>(amap_->SegBytes() / kBlockSize);
-  if (ParsePartialsFromImage(image, amap_->TsegBase(base_tseg), spb)
+  const uint32_t spb = static_cast<uint32_t>(seg_bytes / kBlockSize);
+  std::vector<uint8_t> bytes(seg_bytes);
+  image.Read(0, bytes);
+  if (ParsePartialsFromImage(bytes, amap_->TsegBase(base_tseg), spb)
           .empty()) {
     return std::nullopt;
   }
-  return Crc32(image);
+  return image.Crc32(0, seg_bytes);
 }
 
 Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
@@ -67,8 +69,7 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
     return Outcome::kSkipped;
   }
   const uint32_t volume = amap_->VolumeOfTseg(tseg);
-  const BufferPool::Buffer scratch = buffers_->Acquire(amap_->SegBytes());
-  std::vector<uint8_t>& image = *scratch;
+  MediaImage image;
   Status read = ReadWithRetry(tseg, image);
   stats_.segments_scrubbed++;
   const bool had_crc = [&] {
@@ -114,7 +115,8 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
       continue;
     }
     Status repaired = footprint_->RepairWrite(
-        static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg), image);
+        static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg),
+        ByteSource(image, amap_->SegBytes()));
     if (repaired.ok()) {
       tsegs_->SetCrc(tseg, *good_crc);
       lost_.erase(tseg);
@@ -130,11 +132,16 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
   // WAN, when a multi-site deployment has wired one in.
   if (remote_source_) {
     Result<std::vector<uint8_t>> remote = remote_source_(tseg);
-    const std::optional<uint32_t> remote_crc =
-        remote.ok() ? VerifyImage(tseg, *remote) : std::nullopt;
+    std::optional<uint32_t> remote_crc;
+    if (remote.ok()) {
+      image.Clear();
+      image.Write(0, *remote);
+      remote_crc = VerifyImage(tseg, image);
+    }
     if (remote_crc) {
       Status repaired = footprint_->RepairWrite(
-          static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg), *remote);
+          static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg),
+          ByteSource(image, amap_->SegBytes()));
       if (repaired.ok()) {
         tsegs_->SetCrc(tseg, *remote_crc);
         lost_.erase(tseg);

@@ -17,16 +17,15 @@
 #include <functional>
 #include <optional>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "highlight/address_map.h"
 #include "highlight/tseg_table.h"
 #include "sim/sim_clock.h"
 #include "tertiary/footprint.h"
-#include "util/buffer_pool.h"
 #include "util/fault_injector.h"
 #include "util/health.h"
+#include "util/media_image.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -34,14 +33,9 @@ namespace hl {
 
 class Scrubber {
  public:
-  // Scrub images come from `buffers` (the I/O server's transfer pool).
   Scrubber(Footprint* footprint, TsegTable* tsegs, const AddressMap* amap,
-           SimClock* clock, BufferPool* buffers)
-      : footprint_(footprint),
-        tsegs_(tsegs),
-        amap_(amap),
-        clock_(clock),
-        buffers_(buffers) {}
+           SimClock* clock)
+      : footprint_(footprint), tsegs_(tsegs), amap_(amap), clock_(clock) {}
 
   void SetHealth(HealthRegistry* health) { health_ = health; }
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
@@ -99,19 +93,19 @@ class Scrubber {
 
   Result<Outcome> ScrubOne(uint32_t tseg);
   void Tally(Outcome outcome, Report& report);
-  // Whole-segment read with the retry policy's bounded backoff.
-  Status ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf);
+  // Whole-segment read into a transfer image, with the retry policy's
+  // bounded backoff.
+  Status ReadWithRetry(uint32_t tseg, MediaImage& image);
   // The CRC of `image` when it matches the recorded CRC of `tseg`, or, with
   // no CRC recorded, when the image's partial segments parse cleanly against
   // the media's own summary checksums; nullopt when the image is bad.
   std::optional<uint32_t> VerifyImage(uint32_t tseg,
-                                      std::span<const uint8_t> image) const;
+                                      const MediaImage& image) const;
 
   Footprint* footprint_;
   TsegTable* tsegs_;
   const AddressMap* amap_;
   SimClock* clock_;
-  BufferPool* buffers_;
   HealthRegistry* health_ = nullptr;
   RetryPolicy retry_;
   RemoteSource remote_source_;

@@ -230,8 +230,8 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
   }
   SpanScope span(spans_, "readahead", "service");
   span.Annotate("tseg", std::to_string(next));
-  // Leaves the pool until pending_prefetch_ (or the failed read) lets go.
-  BufferPool::Buffer image = io_->AcquireSegmentBuffer();
+  // Lives until pending_prefetch_ (or the failed read) lets go.
+  auto image = std::make_shared<MediaImage>();
   Status s;
   if (async_reads_) {
     // Queue through the unified read pipeline; if a demand fault on `next`
@@ -246,7 +246,7 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
         });
   } else {
     s = io_->SchedulePrefetch(
-        next, std::span<uint8_t>(image->data(), image->size()),
+        next, *image,
         [this, next, image](const Status& st, SimTime ready_at) {
           if (st.ok()) {
             pending_prefetch_[next] = PendingPrefetch{image, ready_at};

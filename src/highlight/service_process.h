@@ -19,6 +19,7 @@
 #include "highlight/io_server.h"
 #include "highlight/segment_cache.h"
 #include "sim/sim_clock.h"
+#include "util/media_image.h"
 #include "util/metrics.h"
 #include "util/span.h"
 #include "util/status.h"
@@ -130,7 +131,7 @@ class ServiceProcess {
   Status AsyncPrefetch(uint32_t tseg);
 
   struct PendingPrefetch {
-    BufferPool::Buffer image;
+    std::shared_ptr<MediaImage> image;
     SimTime ready_at = 0;
   };
 

@@ -105,16 +105,6 @@ class TsegTable {
   uint64_t TotalLiveBytes() const { return total_live_bytes_; }
   uint32_t DirtyTsegCount() const { return dirty_count_; }
 
-  // O(n) linear-scan reference implementations of the indexed queries
-  // above — the pre-index code paths, kept for the index property test and
-  // the engine_ops benchmark's indexed-vs-linear comparison. Production
-  // code must not call these.
-  uint32_t NextFreshTsegLinear(const std::set<uint32_t>& full_volumes,
-                               uint32_t preferred_volume = kNoSegment) const;
-  std::vector<uint32_t> ReplicasOfLinear(uint32_t primary) const;
-  uint64_t TotalLiveBytesLinear() const;
-  uint32_t DirtyTsegCountLinear() const;
-
   // In-core CRC32 catalog, stamped at copy-out and checked on every fetch.
   // Deliberately NOT persisted: the tsegfile's on-media format is frozen, so
   // after a remount the catalog starts empty and the scrubber re-stamps

@@ -29,27 +29,24 @@ Result<uint64_t> Footprint::VolumeCapacity(int volume) const {
   return m.jukebox->volume(m.slot).nominal_capacity();
 }
 
-Status Footprint::Read(int volume, uint64_t offset, std::span<uint8_t> out) {
+Status Footprint::Read(int volume, uint64_t offset, ByteSink out) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
   return m.jukebox->Read(m.slot, offset, out);
 }
 
-Status Footprint::Write(int volume, uint64_t offset,
-                        std::span<const uint8_t> data) {
+Status Footprint::Write(int volume, uint64_t offset, ByteSource data) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
   return m.jukebox->Write(m.slot, offset, data);
 }
 
 Result<SimTime> Footprint::ScheduleRead(SimTime earliest, int volume,
-                                        uint64_t offset,
-                                        std::span<uint8_t> out) {
+                                        uint64_t offset, ByteSink out) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
   return m.jukebox->ScheduleRead(earliest, m.slot, offset, out);
 }
 
 Result<SimTime> Footprint::ScheduleWrite(SimTime earliest, int volume,
-                                         uint64_t offset,
-                                         std::span<const uint8_t> data) {
+                                         uint64_t offset, ByteSource data) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
   return m.jukebox->ScheduleWrite(earliest, m.slot, offset, data);
 }
@@ -70,8 +67,7 @@ Result<bool> Footprint::VolumeFull(int volume) const {
   return m.jukebox->volume(m.slot).marked_full();
 }
 
-Status Footprint::RepairWrite(int volume, uint64_t offset,
-                              std::span<const uint8_t> data) {
+Status Footprint::RepairWrite(int volume, uint64_t offset, ByteSource data) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
   return m.jukebox->Rewrite(m.slot, offset, data);
 }

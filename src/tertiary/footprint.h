@@ -12,7 +12,6 @@
 #define HIGHLIGHT_TERTIARY_FOOTPRINT_H_
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "sim/sim_clock.h"
@@ -32,14 +31,14 @@ class Footprint {
   Result<uint64_t> VolumeCapacity(int volume) const;
 
   // Synchronous extent I/O (advances the simulation clock).
-  Status Read(int volume, uint64_t offset, std::span<uint8_t> out);
-  Status Write(int volume, uint64_t offset, std::span<const uint8_t> data);
+  Status Read(int volume, uint64_t offset, ByteSink out);
+  Status Write(int volume, uint64_t offset, ByteSource data);
 
   // Asynchronous extent I/O for the I/O server's write-behind pipeline.
   Result<SimTime> ScheduleRead(SimTime earliest, int volume, uint64_t offset,
-                               std::span<uint8_t> out);
+                               ByteSink out);
   Result<SimTime> ScheduleWrite(SimTime earliest, int volume, uint64_t offset,
-                                std::span<const uint8_t> data);
+                                ByteSource data);
 
   // True if the volume is currently loaded in a drive (a read costs no
   // media swap) — the "closest copy" signal for replica selection.
@@ -52,8 +51,7 @@ class Footprint {
 
   // Scrubber support: overwrite an already-written extent in place, even on
   // a volume marked full (the data is already there; only WORM media refuse).
-  Status RepairWrite(int volume, uint64_t offset,
-                     std::span<const uint8_t> data);
+  Status RepairWrite(int volume, uint64_t offset, ByteSource data);
 
   // Tertiary-cleaner support: wipe a (non-WORM) volume for reuse.
   Status EraseVolume(int volume);

@@ -155,8 +155,7 @@ Result<SimTime> Jukebox::Transfer(SimTime earliest, int slot, uint64_t offset,
 }
 
 Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
-                                      uint64_t offset,
-                                      std::span<uint8_t> out) {
+                                      uint64_t offset, ByteSink out) {
   if (slot < 0 || slot >= num_slots()) {
     return OutOfRange(profile_.name + ": no slot " + std::to_string(slot));
   }
@@ -197,8 +196,7 @@ Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
 }
 
 Result<SimTime> Jukebox::ScheduleWrite(SimTime earliest, int slot,
-                                       uint64_t offset,
-                                       std::span<const uint8_t> data) {
+                                       uint64_t offset, ByteSource data) {
   if (slot < 0 || slot >= num_slots()) {
     return OutOfRange(profile_.name + ": no slot " + std::to_string(slot));
   }
@@ -240,22 +238,20 @@ Result<SimTime> Jukebox::ScheduleWrite(SimTime earliest, int slot,
   return end;
 }
 
-Status Jukebox::Read(int slot, uint64_t offset, std::span<uint8_t> out) {
+Status Jukebox::Read(int slot, uint64_t offset, ByteSink out) {
   ASSIGN_OR_RETURN(SimTime end, ScheduleRead(clock_->Now(), slot, offset, out));
   clock_->AdvanceTo(end);
   return OkStatus();
 }
 
-Status Jukebox::Write(int slot, uint64_t offset,
-                      std::span<const uint8_t> data) {
+Status Jukebox::Write(int slot, uint64_t offset, ByteSource data) {
   ASSIGN_OR_RETURN(SimTime end,
                    ScheduleWrite(clock_->Now(), slot, offset, data));
   clock_->AdvanceTo(end);
   return OkStatus();
 }
 
-Status Jukebox::Rewrite(int slot, uint64_t offset,
-                        std::span<const uint8_t> data) {
+Status Jukebox::Rewrite(int slot, uint64_t offset, ByteSource data) {
   if (slot < 0 || slot >= num_slots()) {
     return OutOfRange(profile_.name + ": no slot " + std::to_string(slot));
   }

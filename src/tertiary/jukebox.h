@@ -13,7 +13,6 @@
 #define HIGHLIGHT_TERTIARY_JUKEBOX_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -55,21 +54,21 @@ class Jukebox {
 
   // Synchronous transfers: mount (swapping media if needed), seek, transfer;
   // the clock is advanced to completion.
-  Status Read(int slot, uint64_t offset, std::span<uint8_t> out);
-  Status Write(int slot, uint64_t offset, std::span<const uint8_t> data);
+  Status Read(int slot, uint64_t offset, ByteSink out);
+  Status Write(int slot, uint64_t offset, ByteSource data);
 
   // Scrubber repair: overwrite an already-written extent in place (bypasses
   // the volume's full mark; WORM media refuse). Charges a normal write
   // transfer and advances the clock.
-  Status Rewrite(int slot, uint64_t offset, std::span<const uint8_t> data);
+  Status Rewrite(int slot, uint64_t offset, ByteSource data);
 
   // Asynchronous variants: reserve drive/robot/bus time beginning no earlier
   // than `earliest`, move the data now, and return the completion time
   // without touching the clock.
   Result<SimTime> ScheduleRead(SimTime earliest, int slot, uint64_t offset,
-                               std::span<uint8_t> out);
+                               ByteSink out);
   Result<SimTime> ScheduleWrite(SimTime earliest, int slot, uint64_t offset,
-                                std::span<const uint8_t> data);
+                                ByteSource data);
 
   // Statistics.
   uint64_t media_swaps() const { return media_swaps_; }

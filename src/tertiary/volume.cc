@@ -22,19 +22,19 @@ Status Volume::CheckInjectedFault(FaultOp op, uint64_t offset,
   }
 }
 
-Status Volume::Read(uint64_t offset, std::span<uint8_t> out) const {
+Status Volume::Read(uint64_t offset, ByteSink out) const {
   if (offset + out.size() > nominal_capacity_) {
     return OutOfRange(label_ + ": read past end of medium");
   }
   RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kRead, offset, out.size()));
-  image_.Read(offset, out);
+  out.FillFrom(image_, offset);
   if (faults_ != nullptr) {
     faults_->MaybeCorruptRead(out, offset);
   }
   return OkStatus();
 }
 
-Status Volume::Write(uint64_t offset, std::span<const uint8_t> data) {
+Status Volume::Write(uint64_t offset, ByteSource data) {
   if (marked_full_) {
     return Status(ErrorCode::kEndOfMedium, label_ + ": volume marked full");
   }
@@ -53,7 +53,7 @@ Status Volume::Write(uint64_t offset, std::span<const uint8_t> data) {
                   label_ + ": rewrite of WORM extent");
   }
   RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kWrite, offset, data.size()));
-  image_.Write(offset, data);
+  data.StoreTo(image_, offset);
   bytes_written_ += data.size();
   high_water_ = std::max(high_water_, offset + data.size());
   RecordRange(offset, offset + data.size());
@@ -63,7 +63,7 @@ Status Volume::Write(uint64_t offset, std::span<const uint8_t> data) {
   return OkStatus();
 }
 
-Status Volume::Rewrite(uint64_t offset, std::span<const uint8_t> data) {
+Status Volume::Rewrite(uint64_t offset, ByteSource data) {
   if (write_once_) {
     return Status(ErrorCode::kNotSupported,
                   label_ + ": rewrite of WORM extent");
@@ -72,7 +72,7 @@ Status Volume::Rewrite(uint64_t offset, std::span<const uint8_t> data) {
     return OutOfRange(label_ + ": rewrite past high-water mark");
   }
   RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kWrite, offset, data.size()));
-  image_.Write(offset, data);
+  data.StoreTo(image_, offset);
   bytes_written_ += data.size();
   if (faults_ != nullptr) {
     faults_->NoteWrite(offset, data.size());

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 
 #include "util/fault_injector.h"
@@ -46,18 +45,19 @@ class Volume {
   void MarkFull() { marked_full_ = true; }
 
   // Reads `out.size()` bytes at `offset`. Unwritten regions read as zero
-  // (within nominal capacity).
-  Status Read(uint64_t offset, std::span<uint8_t> out) const;
+  // (within nominal capacity). A transfer-image sink shares the medium's
+  // chunks; injected corruption then lands in the sink's private copy.
+  Status Read(uint64_t offset, ByteSink out) const;
 
   // Writes the extent; fails with kEndOfMedium if it would cross the actual
   // capacity, in which case NOTHING is written (the drive reports the error
   // and HighLight re-writes the whole segment on the next volume).
-  Status Write(uint64_t offset, std::span<const uint8_t> data);
+  Status Write(uint64_t offset, ByteSource data);
 
   // In-place repair of an already-written extent (scrubber support).
   // Bypasses the full mark — the medium already holds data here — but WORM
   // media still refuse, and the extent must lie below the high-water mark.
-  Status Rewrite(uint64_t offset, std::span<const uint8_t> data);
+  Status Rewrite(uint64_t offset, ByteSource data);
 
   // Erase all contents (tertiary-cleaner support; invalid on WORM media).
   Status Erase();
@@ -66,6 +66,9 @@ class Volume {
   // channel outlives the volume's contents across erase cycles.
   void AttachFaults(FaultChannel* channel) { faults_ = channel; }
   FaultChannel* fault_channel() const { return faults_; }
+
+  // The medium's bytes; a test probe for chunk sharing.
+  const MediaImage& image() const { return image_; }
 
  private:
   Status CheckInjectedFault(FaultOp op, uint64_t offset, uint64_t len) const;

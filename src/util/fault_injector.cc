@@ -184,16 +184,20 @@ FaultOutcome FaultChannel::Decide(FaultOp op, uint64_t offset, uint64_t len) {
   return FaultOutcome::kNone;
 }
 
-bool FaultChannel::MaybeCorruptRead(std::span<uint8_t> buf, uint64_t offset) {
+bool FaultChannel::MaybeCorruptRead(ByteSink buf, uint64_t offset) {
   (void)offset;
-  if (buf.empty() || profile_.read_corrupt_p <= 0 ||
+  if (buf.size() == 0 || profile_.read_corrupt_p <= 0 ||
       !rng_.Chance(profile_.read_corrupt_p)) {
     return false;
   }
   // A handful of independent single-bit flips across the buffer.
   const int flips = 1 + static_cast<int>(rng_.Below(8));
   for (int i = 0; i < flips; ++i) {
-    buf[rng_.Below(buf.size())] ^= static_cast<uint8_t>(1u << rng_.Below(8));
+    // Mask before position: the order `buf[pos] ^= mask` draws them in
+    // (C++17 sequences an assignment's right operand first). Seeded fault
+    // streams depend on it.
+    const auto mask = static_cast<uint8_t>(1u << rng_.Below(8));
+    buf.FlipBits(rng_.Below(buf.size()), mask);
   }
   ++parent_->stats_.corruptions;
   parent_->tracer_.Record(TraceEvent::kFaultInjected, id_,

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/sim_clock.h"
+#include "util/media_image.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -119,7 +120,7 @@ class FaultChannel {
 
   // Post-read hook: possibly flip bits in the fetched buffer
   // (read_corrupt_p). Returns true when the buffer was corrupted.
-  bool MaybeCorruptRead(std::span<uint8_t> buf, uint64_t offset);
+  bool MaybeCorruptRead(ByteSink buf, uint64_t offset);
 
   // Post-write hook: clears latent errors overlapping the overwritten range
   // and may plant a fresh one (write_latent_p).

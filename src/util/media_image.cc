@@ -6,6 +6,8 @@
 #include <cstring>
 #include <new>
 
+#include "util/crc32.h"
+
 #ifdef __SANITIZE_ADDRESS__
 #include <sanitizer/asan_interface.h>
 #define HL_POISON_CHUNK(p) \
@@ -22,17 +24,21 @@ namespace {
 
 // Chunks are carved from slabs of this size, aligned to it: one huge page.
 constexpr size_t kSlabSize = 2 * 1024 * 1024;
+constexpr size_t kChunksPerSlab = kSlabSize / MediaImage::kChunkSize;
 
-// Idle chunks of every image in the process. Never destroyed, so an image
-// destroyed during static teardown still pushes onto a live list.
-std::vector<uint8_t*>& FreeChunks() {
-  static auto* free_chunks = new std::vector<uint8_t*>();
+}  // namespace
+
+// Never destroyed, so an image destroyed during static teardown still
+// pushes onto a live list.
+std::vector<MediaImage::Chunk*>& MediaImage::FreeChunks() {
+  static auto* free_chunks = new std::vector<Chunk*>();
   return *free_chunks;
 }
 
 // Maps one kSlabSize-aligned slab and pushes its chunks onto the free list,
-// lowest address on top.
-void CarveSlab(std::vector<uint8_t*>& free_chunks) {
+// lowest address on top. The chunk records live as long as the slab: for
+// the process.
+void MediaImage::CarveSlab(std::vector<Chunk*>& free_chunks) {
   void* raw = mmap(nullptr, 2 * kSlabSize, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (raw == MAP_FAILED) {
@@ -52,78 +58,183 @@ void CarveSlab(std::vector<uint8_t*>& free_chunks) {
 #ifdef MADV_HUGEPAGE
   madvise(slab, kSlabSize, MADV_HUGEPAGE);
 #endif
-  for (size_t off = kSlabSize; off > 0; off -= MediaImage::kChunkSize) {
-    uint8_t* chunk = slab + off - MediaImage::kChunkSize;
-    HL_POISON_CHUNK(chunk);
+  auto* records = new Chunk[kChunksPerSlab];
+  for (size_t i = kChunksPerSlab; i > 0; --i) {
+    Chunk* chunk = &records[i - 1];
+    chunk->bytes = slab + (i - 1) * kChunkSize;
+    HL_POISON_CHUNK(chunk->bytes);
     free_chunks.push_back(chunk);
   }
 }
 
-uint8_t* PopChunk() {
-  std::vector<uint8_t*>& free_chunks = FreeChunks();
+MediaImage::Chunk* MediaImage::PopChunk() {
+  std::vector<Chunk*>& free_chunks = FreeChunks();
   if (free_chunks.empty()) {
     CarveSlab(free_chunks);
   }
-  uint8_t* chunk = free_chunks.back();
+  Chunk* chunk = free_chunks.back();
   free_chunks.pop_back();
-  HL_UNPOISON_CHUNK(chunk);
+  HL_UNPOISON_CHUNK(chunk->bytes);
+  chunk->refs = 1;
   return chunk;
 }
 
-}  // namespace
+void MediaImage::Release(Chunk* chunk) {
+  if (chunk != nullptr && --chunk->refs == 0) {
+    HL_POISON_CHUNK(chunk->bytes);
+    FreeChunks().push_back(chunk);
+  }
+}
+
+const uint8_t* MediaImage::Zeros() {
+  static const auto* zeros = new uint8_t[kChunkSize]();
+  return zeros;
+}
+
+MediaImage::Chunk*& MediaImage::Slot(uint64_t index) {
+  if (index >= dir_.size()) {
+    dir_.resize(index + 1, nullptr);
+  }
+  return dir_[index];
+}
 
 void MediaImage::Read(uint64_t offset, std::span<uint8_t> out) const {
   size_t done = 0;
-  while (done < out.size()) {
-    const uint64_t pos = offset + done;
-    const uint64_t index = pos / kChunkSize;
-    const size_t at = static_cast<size_t>(pos % kChunkSize);
-    const size_t take = std::min(kChunkSize - at, out.size() - done);
-    const uint8_t* chunk = index < dir_.size() ? dir_[index] : nullptr;
-    if (chunk == nullptr) {
-      std::memset(out.data() + done, 0, take);
-    } else {
-      std::memcpy(out.data() + done, chunk + at, take);
-    }
-    done += take;
-  }
+  ForEachRun(offset, out.size(), [&](std::span<const uint8_t> run) {
+    std::memcpy(out.data() + done, run.data(), run.size());
+    done += run.size();
+  });
 }
 
 void MediaImage::Write(uint64_t offset, std::span<const uint8_t> data) {
   size_t done = 0;
   while (done < data.size()) {
     const uint64_t pos = offset + done;
-    const uint64_t index = pos / kChunkSize;
     const size_t at = static_cast<size_t>(pos % kChunkSize);
     const size_t take = std::min(kChunkSize - at, data.size() - done);
-    if (index >= dir_.size()) {
-      dir_.resize(index + 1, nullptr);
-    }
-    uint8_t*& chunk = dir_[index];
+    Chunk*& chunk = Slot(pos / kChunkSize);
     if (chunk == nullptr) {
       // A hole reads as zeros outside the write; zero only those bytes.
       chunk = PopChunk();
-      std::memset(chunk, 0, at);
-      std::memset(chunk + at + take, 0, kChunkSize - at - take);
+      std::memset(chunk->bytes, 0, at);
+      std::memset(chunk->bytes + at + take, 0, kChunkSize - at - take);
+    } else if (chunk->refs > 1) {
+      // Another image holds this chunk: write into a private copy of it.
+      Chunk* own = PopChunk();
+      std::memcpy(own->bytes, chunk->bytes, at);
+      std::memcpy(own->bytes + at + take, chunk->bytes + at + take,
+                  kChunkSize - at - take);
+      Release(chunk);
+      chunk = own;
     }
-    std::memcpy(chunk + at, data.data() + done, take);
+    std::memcpy(chunk->bytes + at, data.data() + done, take);
     done += take;
   }
 }
 
-void MediaImage::Clear() {
-  std::vector<uint8_t*>& free_chunks = FreeChunks();
-  for (uint8_t* chunk : dir_) {
-    if (chunk != nullptr) {
-      HL_POISON_CHUNK(chunk);
-      free_chunks.push_back(chunk);
+void MediaImage::Share(uint64_t offset, const MediaImage& src,
+                       uint64_t src_offset, uint64_t len) {
+  uint64_t done = 0;
+  while (done < len) {
+    const uint64_t pos = offset + done;
+    const uint64_t src_pos = src_offset + done;
+    const size_t at = static_cast<size_t>(pos % kChunkSize);
+    const size_t src_at = static_cast<size_t>(src_pos % kChunkSize);
+    const uint64_t src_index = src_pos / kChunkSize;
+    Chunk* from = src_index < src.dir_.size() ? src.dir_[src_index] : nullptr;
+    if (at == 0 && src_at == 0 && len - done >= kChunkSize) {
+      // A whole aligned chunk: hold the source's (or become a hole).
+      if (from != nullptr || pos / kChunkSize < dir_.size()) {
+        Chunk*& slot = Slot(pos / kChunkSize);
+        if (from != nullptr) {
+          ++from->refs;  // Before the release: `slot` may already be it.
+        }
+        Release(slot);
+        slot = from;
+      }
+      done += kChunkSize;
+      continue;
     }
+    // An edge: copy up to the nearer chunk boundary of either side.
+    const size_t take = static_cast<size_t>(std::min<uint64_t>(
+        {kChunkSize - at, kChunkSize - src_at, len - done}));
+    const uint64_t index = pos / kChunkSize;
+    const bool hole = index >= dir_.size() || dir_[index] == nullptr;
+    if (from != nullptr || !hole) {
+      Write(pos, std::span<const uint8_t>(
+                     (from != nullptr ? from->bytes : Zeros()) + src_at, take));
+    }
+    done += take;
+  }
+}
+
+uint32_t MediaImage::Crc32(uint64_t offset, uint64_t len,
+                           uint32_t seed) const {
+  uint32_t crc = seed;
+  ForEachRun(offset, len,
+             [&](std::span<const uint8_t> run) { crc = hl::Crc32(run, crc); });
+  return crc;
+}
+
+void MediaImage::Clear() {
+  for (Chunk* chunk : dir_) {
+    Release(chunk);
   }
   dir_.clear();
 }
 
 size_t MediaImage::resident_chunks() const {
   return dir_.size() - std::count(dir_.begin(), dir_.end(), nullptr);
+}
+
+const uint8_t* MediaImage::chunk_at(uint64_t offset) const {
+  const uint64_t index = offset / kChunkSize;
+  return index < dir_.size() && dir_[index] != nullptr ? dir_[index]->bytes
+                                                       : nullptr;
+}
+
+size_t MediaImage::idle_chunks() { return FreeChunks().size(); }
+
+ByteSink ByteSink::subspan(uint64_t offset, uint64_t len) const {
+  if (image_ == nullptr) {
+    return ByteSink(bytes_.subspan(offset, len));
+  }
+  return ByteSink(*image_, len, offset_ + offset);
+}
+
+void ByteSink::FillFrom(const MediaImage& medium,
+                        uint64_t medium_offset) const {
+  if (image_ == nullptr) {
+    medium.Read(medium_offset, bytes_);
+  } else {
+    image_->Share(offset_, medium, medium_offset, size_);
+  }
+}
+
+void ByteSink::FlipBits(uint64_t pos, uint8_t mask) const {
+  if (image_ == nullptr) {
+    bytes_[pos] ^= mask;
+    return;
+  }
+  uint8_t byte = 0;
+  image_->Read(offset_ + pos, std::span<uint8_t>(&byte, 1));
+  byte ^= mask;
+  image_->Write(offset_ + pos, std::span<const uint8_t>(&byte, 1));
+}
+
+ByteSource ByteSource::subspan(uint64_t offset, uint64_t len) const {
+  if (image_ == nullptr) {
+    return ByteSource(bytes_.subspan(offset, len));
+  }
+  return ByteSource(*image_, len, offset_ + offset);
+}
+
+void ByteSource::StoreTo(MediaImage& medium, uint64_t medium_offset) const {
+  if (image_ == nullptr) {
+    medium.Write(medium_offset, bytes_);
+  } else {
+    medium.Share(medium_offset, *image_, offset_, size_);
+  }
 }
 
 }  // namespace hl

@@ -1,8 +1,9 @@
 // Read-in-place tests: block-map pointers read straight out of the buffer
 // cache (dirty copies first, device only on a miss, the same hit/miss
-// accounting as a copying read) and segment transfer buffers recycled
-// through one pool (never while shared, never installing unverified bytes),
-// plus the seam recalls the segment cache's hit/miss counters must see.
+// accounting as a copying read) and segment transfer images (a buffered
+// read-ahead survives other transfers, a failover never installs
+// unverified bytes), plus the seam recalls the segment cache's hit/miss
+// counters must see.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,7 @@
 #include "blockdev/sim_disk.h"
 #include "highlight/highlight.h"
 #include "lfs/lfs.h"
-#include "util/buffer_pool.h"
+#include "util/media_image.h"
 #include "util/rng.h"
 
 namespace hl {
@@ -167,45 +168,7 @@ TEST_F(BmapInPlaceTest, MissInsertsAndCountsMatchACopyingRead) {
   EXPECT_EQ(cache.misses() - misses0, 4u);
 }
 
-// --- Transfer buffer pool ----------------------------------------------------
-
-TEST(BufferPoolTest, SharedBufferIsNeverRecycledWhileReferenced) {
-  BufferPool pool;
-  BufferPool::Buffer a = pool.Acquire(4096);
-  std::fill(a->begin(), a->end(), 0xA5);
-  BufferPool::Buffer reader = a;  // A read-ahead waiter's reference.
-  a.reset();
-  EXPECT_EQ(pool.idle(), 0u) << "still referenced, must stay out";
-  BufferPool::Buffer b = pool.Acquire(4096);
-  EXPECT_NE(b.get(), reader.get());
-  std::fill(b->begin(), b->end(), 0x11);
-  EXPECT_TRUE(std::all_of(reader->begin(), reader->end(),
-                          [](uint8_t x) { return x == 0xA5; }));
-  const std::vector<uint8_t>* recycled = reader.get();
-  reader.reset();
-  EXPECT_EQ(pool.idle(), 1u);
-  BufferPool::Buffer c = pool.Acquire(4096);
-  EXPECT_EQ(c.get(), recycled) << "an idle buffer is reused";
-  EXPECT_EQ(pool.allocations(), 2u);
-
-  // Returns beyond the cap are freed, not hoarded.
-  std::vector<BufferPool::Buffer> many;
-  for (size_t i = 0; i < BufferPool::kMaxIdle + 3; ++i) {
-    many.push_back(pool.Acquire(4096));
-  }
-  many.clear();
-  EXPECT_EQ(pool.idle(), BufferPool::kMaxIdle);
-}
-
-TEST(BufferPoolTest, BufferReleasedAfterPoolDiesIsFreed) {
-  BufferPool::Buffer survivor;
-  {
-    BufferPool pool;
-    survivor = pool.Acquire(1024);
-  }
-  (*survivor)[0] = 1;  // Still valid; its release must not touch the pool.
-  survivor.reset();
-}
+// --- Transfer images ---------------------------------------------------------
 
 JukeboxProfile SmallJukebox() {
   JukeboxProfile j = Hp6300MoProfile();
@@ -267,12 +230,11 @@ TEST(TransferPoolTest, BufferedReadaheadImageSurvivesOtherFetches) {
     const uint32_t other_tseg = amap.FirstTsegOfVolume(2);
 
     ServiceProcess& service = hl->Internals().service;
-    BufferPool& pool = hl->Internals().io_server.buffers();
     // Fetching `first` buffers a read-ahead image of first+1 ...
     ASSERT_TRUE(service.DemandFetch(first).ok());
     ASSERT_EQ(service.stats().readaheads_issued, 1u);
-    // ... which must stay out of the pool while other transfers run
-    // through it (the async read-ahead sits queued, then buffered).
+    // ... which must survive while other transfers run (the async
+    // read-ahead sits queued, then buffered).
     ASSERT_TRUE(service.DemandFetch(other_tseg).ok());
     ASSERT_TRUE(hl->Internals().io_server.Drain().ok());
     ASSERT_TRUE(service.DemandFetch(first + 2).ok());
@@ -280,10 +242,17 @@ TEST(TransferPoolTest, BufferedReadaheadImageSurvivesOtherFetches) {
     // The predicted miss installs the untouched read-ahead bytes.
     ASSERT_TRUE(service.DemandFetch(first + 1).ok());
     EXPECT_EQ(service.stats().readaheads_consumed, 1u);
+    // Zero-copy: the installed line holds the volume's own chunks.
+    const uint32_t line = hl->Internals().cache.Lookup(first + 1);
+    ASSERT_NE(line, kNoSegment);
+    const uint64_t line_at =
+        uint64_t{hl->fs().superblock().SegFirstBlock(line)} * kBlockSize;
+    Result<Volume*> vol = hl->Internals().footprint.GetVolume(0);
+    ASSERT_TRUE(vol.ok());
+    EXPECT_EQ(hl->Internals().disk(0).image().chunk_at(line_at),
+              (*vol)->image().chunk_at(amap.ByteOffsetOnVolume(first + 1)));
     ExpectContents(*hl, "/seq", 600 * 1024, 71);
     ExpectContents(*hl, "/other", 200 * 1024, 72);
-    // Recycling, not reallocation: a handful of buffers served it all.
-    EXPECT_LE(pool.allocations(), 3u);
     EXPECT_GT(hl->Internals().io_server.stats().segments_fetched, 3u);
   }
 }
@@ -306,11 +275,8 @@ TEST(TransferPoolTest, CrcFailoverOnRecycledBufferInstallsVerifiedBytes) {
   const uint32_t primary = amap.FirstTsegOfVolume(0);
   ASSERT_FALSE(hl->Internals().tseg_table.ReplicasOf(primary).empty());
 
-  // Leave an idle pool buffer holding another segment's bytes.
-  BufferPool& pool = hl->Internals().io_server.buffers();
+  // Recall another segment first.
   ExpectContents(*hl, "/warm", 200 * 1024, 81);
-  ASSERT_GE(pool.idle(), 1u);
-  const uint64_t allocations = pool.allocations();
 
   // Corrupt the primary in the middle of its image and mount its volume so
   // it is the first source tried.
@@ -330,7 +296,13 @@ TEST(TransferPoolTest, CrcFailoverOnRecycledBufferInstallsVerifiedBytes) {
   ExpectContents(*hl, "/f", 200 * 1024, 82);
   EXPECT_GT(io.crc_mismatches, mismatches);
   EXPECT_EQ(io.failovers, failovers + 1);
-  EXPECT_EQ(pool.allocations(), allocations) << "the fetch reused a buffer";
+  // The corrupt primary stays corrupt: the failed read shared its chunks
+  // and never wrote through them.
+  std::vector<uint8_t> still(kBlockSize);
+  ASSERT_TRUE(
+      (*vol)->Read(amap.ByteOffsetOnVolume(primary) + 8 * kBlockSize, still)
+          .ok());
+  EXPECT_EQ(still, junk);
 }
 
 // --- Seam recalls count in the segment cache -----------------------------------

@@ -110,7 +110,7 @@ TEST_F(ReadPipelineTest, DemandReadsIssueBeforeQueuedPrefetches) {
   IoServer& io = hl_->Internals().io_server;
   io.set_max_queue_depth(1);  // One issue, then the window is full.
   io.HoldReads();
-  auto image = std::make_shared<std::vector<uint8_t>>(io.SegBytes());
+  auto image = std::make_shared<MediaImage>();
   ASSERT_TRUE(io.EnqueuePrefetchRead(pre_tseg, kNoSegment, image,
                                      [](const Status&, SimTime) {})
                   .ok());
